@@ -1,16 +1,42 @@
 #include "advice/path_tracker.h"
 
-#include <deque>
-#include <limits>
+#include <algorithm>
 
 #include "obs/metrics.h"
 
 namespace braid::advice {
 
+namespace {
+
+/// Tracker counters, resolved once per process: Advance runs on every IE
+/// query and must not look instruments up by name.
+struct TrackerCounters {
+  obs::Counter* advances;
+  obs::Counter* mispredictions;
+};
+
+const TrackerCounters& Counters() {
+  static const TrackerCounters counters{
+      &obs::MetricsRegistry::Global().counter("advice.tracker.advances"),
+      &obs::MetricsRegistry::Global().counter(
+          "advice.tracker.mispredictions")};
+  return counters;
+}
+
+}  // namespace
+
 PathTracker::PathTracker(PathExprPtr expr) {
   Fragment f = Build(*expr);
   accept_state_ = f.accept;
-  current_ = Closure({f.start});
+  const size_t states = eps_.size();
+  current_.reserve(states);
+  state_dist_.resize(states);
+  distance_.resize(symbol_names_.size());
+  // Every state enters the BFS queue at most once, and the symbol edges
+  // into distinct fresh accept states seed it, so #states always suffices.
+  queue_.reserve(states);
+  queue_.push_back(f.start);
+  Settle();
 }
 
 int PathTracker::NewState() {
@@ -77,105 +103,97 @@ PathTracker::Fragment PathTracker::Build(const PathExpr& expr) {
   return {s, s};
 }
 
-std::set<int> PathTracker::Closure(const std::set<int>& states) const {
-  std::set<int> closed = states;
-  std::deque<int> frontier(states.begin(), states.end());
-  while (!frontier.empty()) {
-    int st = frontier.front();
-    frontier.pop_front();
-    for (int next : eps_[st]) {
-      if (closed.insert(next).second) frontier.push_back(next);
+void PathTracker::Settle() {
+  std::fill(state_dist_.begin(), state_dist_.end(), kUnreachable);
+  std::fill(distance_.begin(), distance_.end(), kUnreachable);
+  size_t seeds = 0;
+  for (size_t i = 0; i < queue_.size(); ++i) {
+    const int st = queue_[i];
+    if (state_dist_[st] == kUnreachable) {
+      state_dist_[st] = 0;
+      queue_[seeds++] = st;
     }
   }
-  return closed;
+  queue_.resize(seeds);
+  // Layer d is queue_[begin, end): first closed under epsilon moves (cost
+  // 0), then its symbol moves (cost 1) seed layer d + 1. Layers are
+  // settled in increasing order, so each state's and each symbol's first
+  // assignment is its minimum.
+  size_t begin = 0;
+  for (size_t d = 0; begin < queue_.size(); ++d) {
+    for (size_t i = begin; i < queue_.size(); ++i) {
+      for (int next : eps_[queue_[i]]) {
+        if (state_dist_[next] == kUnreachable) {
+          state_dist_[next] = d;
+          queue_.push_back(next);
+        }
+      }
+    }
+    const size_t end = queue_.size();
+    if (d == 0) current_.assign(queue_.begin(), queue_.end());
+    for (size_t i = begin; i < end; ++i) {
+      for (const auto& [sym, to] : sym_[queue_[i]]) {
+        if (distance_[sym] == kUnreachable) distance_[sym] = d;
+        if (state_dist_[to] == kUnreachable) {
+          state_dist_[to] = d + 1;
+          queue_.push_back(to);
+        }
+      }
+    }
+    begin = end;
+  }
 }
 
 bool PathTracker::Advance(const std::string& view_id) {
   ++advances_;
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.counter("advice.tracker.advances").Increment();
+  const TrackerCounters& counters = Counters();
+  counters.advances->Increment();
   auto it = symbol_ids_.find(view_id);
   if (it == symbol_ids_.end()) {
     ++mispredictions_;
-    registry.counter("advice.tracker.mispredictions").Increment();
+    counters.mispredictions->Increment();
     return false;
   }
   const int symbol = it->second;
-  std::set<int> next;
+  queue_.clear();
   for (int st : current_) {
     for (const auto& [sym, to] : sym_[st]) {
-      if (sym == symbol) next.insert(to);
+      if (sym == symbol) queue_.push_back(to);
     }
   }
-  if (next.empty()) {
+  if (queue_.empty()) {
     ++mispredictions_;
-    registry.counter("advice.tracker.mispredictions").Increment();
+    counters.mispredictions->Increment();
     return false;  // Hold position: the query was outside the prediction.
   }
-  current_ = Closure(next);
+  Settle();
   return true;
 }
 
 std::set<std::string> PathTracker::PredictNext() const {
-  std::set<std::string> out;
-  for (int st : current_) {
-    for (const auto& [sym, to] : sym_[st]) {
-      (void)to;
-      out.insert(symbol_names_[sym]);
-    }
-  }
-  return out;
+  // Exactly the symbols on an edge leaving the current position.
+  return PossibleWithin(1);
 }
 
 std::optional<size_t> PathTracker::MinDistanceTo(
     const std::string& view_id) const {
   auto it = symbol_ids_.find(view_id);
-  if (it == symbol_ids_.end()) return std::nullopt;
-  const int target = it->second;
-  // BFS over states where symbol transitions cost 1; current_ is already
-  // epsilon-closed and every Advance re-closes, so only symbol edges need
-  // closure expansion here.
-  std::map<int, size_t> dist;
-  std::deque<int> frontier;
-  for (int st : current_) {
-    dist[st] = 0;
-    frontier.push_back(st);
+  if (it == symbol_ids_.end() || distance_[it->second] == kUnreachable) {
+    return std::nullopt;
   }
-  size_t best = std::numeric_limits<size_t>::max();
-  while (!frontier.empty()) {
-    int st = frontier.front();
-    frontier.pop_front();
-    const size_t d = dist[st];
-    if (d >= best) continue;
-    for (const auto& [sym, to] : sym_[st]) {
-      if (sym == target && d < best) best = d;
-      std::set<int> closed = Closure({to});
-      for (int nxt : closed) {
-        auto [dit, inserted] = dist.emplace(nxt, d + 1);
-        if (inserted) {
-          frontier.push_back(nxt);
-        } else if (dit->second > d + 1) {
-          dit->second = d + 1;
-          frontier.push_back(nxt);
-        }
-      }
-    }
-  }
-  if (best == std::numeric_limits<size_t>::max()) return std::nullopt;
-  return best;
+  return distance_[it->second];
 }
 
 std::set<std::string> PathTracker::PossibleWithin(size_t horizon) const {
   std::set<std::string> out;
-  for (const std::string& name : symbol_names_) {
-    auto d = MinDistanceTo(name);
-    if (d.has_value() && *d < horizon) out.insert(name);
+  for (size_t s = 0; s < symbol_names_.size(); ++s) {
+    if (distance_[s] < horizon) out.insert(symbol_names_[s]);
   }
   return out;
 }
 
 bool PathTracker::MayBeFinished() const {
-  return current_.count(accept_state_) > 0;
+  return state_dist_[accept_state_] == 0;
 }
 
 }  // namespace braid::advice

@@ -1,6 +1,7 @@
 #ifndef BRAID_ADVICE_PATH_TRACKER_H_
 #define BRAID_ADVICE_PATH_TRACKER_H_
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -25,8 +26,17 @@ namespace braid::advice {
 ///  * an alternation branches over its members and may be skipped entirely
 ///    ("some members may never appear at all"); a selection term of 1 means
 ///    at most one member per occurrence (no loop), any other value loops.
+///
+/// The distance from the current position to every symbol is computed once
+/// per position — at construction and on each successful Advance — by a
+/// single 0-1 BFS over the NFA (epsilon edges cost 0, symbol edges 1), so
+/// every distance query below is a lookup. Advance allocates nothing: the
+/// BFS works in scratch buffers sized at construction.
 class PathTracker {
  public:
+  /// Distance of a symbol that can no longer appear.
+  static constexpr size_t kUnreachable = std::numeric_limits<size_t>::max();
+
   explicit PathTracker(PathExprPtr expr);
 
   /// Consumes the next observed query's view id. Returns true if the query
@@ -50,6 +60,16 @@ class PathTracker {
   size_t mispredictions() const { return mispredictions_; }
   size_t advances() const { return advances_; }
 
+  /// The expression's view ids, numbered in first-occurrence order.
+  size_t num_symbols() const { return symbol_names_.size(); }
+  const std::string& symbol_name(size_t symbol) const {
+    return symbol_names_[symbol];
+  }
+  /// Distance to every symbol from the current position, indexed like
+  /// symbol_name: `distances()[s]` is MinDistanceTo(symbol_name(s)), or
+  /// kUnreachable. The reference stays valid for the tracker's lifetime.
+  const std::vector<size_t>& distances() const { return distance_; }
+
  private:
   struct Fragment {
     int start;
@@ -64,8 +84,9 @@ class PathTracker {
   int SymbolId(const std::string& view_id);
   Fragment Build(const PathExpr& expr);
 
-  /// Epsilon closure of a state set.
-  std::set<int> Closure(const std::set<int>& states) const;
+  /// Moves to the epsilon closure of the states in `queue_` and recomputes
+  /// `state_dist_` and `distance_` from there (one 0-1 BFS).
+  void Settle();
 
   std::vector<std::vector<int>> eps_;
   std::vector<std::vector<std::pair<int, int>>> sym_;
@@ -73,7 +94,10 @@ class PathTracker {
   std::vector<std::string> symbol_names_;
   int accept_state_ = -1;
 
-  std::set<int> current_;
+  std::vector<int> current_;        // epsilon-closed position
+  std::vector<size_t> distance_;    // per symbol, from current_
+  std::vector<size_t> state_dist_;  // per state, from current_ (0 = in it)
+  std::vector<int> queue_;          // BFS scratch, capacity = #states
   size_t mispredictions_ = 0;
   size_t advances_ = 0;
 };

@@ -32,10 +32,14 @@ AtomClass Classify(const logic::Atom& atom) {
 
 }  // namespace
 
+bool IsRelationAtom(const logic::Atom& atom) {
+  return Classify(atom) == AtomClass::kRelation;
+}
+
 std::vector<logic::Atom> CaqlQuery::RelationAtoms() const {
   std::vector<logic::Atom> out;
   for (const auto& a : body) {
-    if (Classify(a) == AtomClass::kRelation) out.push_back(a);
+    if (IsRelationAtom(a)) out.push_back(a);
   }
   return out;
 }

@@ -19,6 +19,11 @@ namespace braid::caql {
 /// exact match during subsumption (paper §5.3.2).
 bool IsEvaluablePredicate(const std::string& name, size_t arity);
 
+/// True for a body atom over a stored relation (a base relation or a
+/// cached view): not negated, not a comparison, not an evaluable function.
+/// These are the atoms CaqlQuery::RelationAtoms returns.
+bool IsRelationAtom(const logic::Atom& atom);
+
 /// A CAQL query: a conjunctive (PSJ-class) expression with a distinguished
 /// head. This is the language of the IE ↔ CMS interface (paper §3, §5).
 ///

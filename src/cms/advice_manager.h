@@ -1,15 +1,20 @@
 #ifndef BRAID_CMS_ADVICE_MANAGER_H_
 #define BRAID_CMS_ADVICE_MANAGER_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "advice/advice.h"
 #include "advice/path_tracker.h"
 #include "caql/caql_query.h"
+#include "cms/cache_element.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 
 namespace braid::cms {
 
@@ -76,11 +81,106 @@ class AdviceManager {
   size_t queries_seen() const { return queries_seen_; }
   size_t tracker_mispredictions() const;
 
+  /// The path tracker, or null without a path expression.
+  const advice::PathTracker* tracker() const { return tracker_.get(); }
+
  private:
   advice::AdviceSet advice_;
   bool has_advice_ = false;
   std::unique_ptr<advice::PathTracker> tracker_;
   size_t queries_seen_ = 0;
+};
+
+/// The CMS-wide replacement advice (paper §5.4) kept as counts, so the
+/// cache's advisor answers with one probe instead of asking every open
+/// session. Lookup(e) equals the minimum over contributing sessions s of
+/// CmsSession::AdvisedDistance_s(e, horizon), which is
+///  - s's tracker distance d_s(v) to the element's origin view v, if any;
+///  - else max(horizon, 1) - 1, if a predicate of e is among s's relevant
+///    base relations;
+///  - else nothing.
+/// The index keeps, per view v, how many sessions sit at each distance;
+/// per predicate p, how many sessions list p (`relevant[p]`); and per
+/// (v, p), how many of those also have a distance for v. The fallback
+/// applies exactly when some predicate p of e has relevant[p] greater than
+/// its (v, p) count: a session lists p but predicts nothing for v.
+///
+/// Each session owns one Contribution, which only the index mutates, under
+/// the session's own advice lock. View and predicate names are interned
+/// append-only: a name keeps its id after the last session mentioning it
+/// closes, with every count for it at zero, so the tables grow with the
+/// advice vocabulary, not with the number of sessions.
+///
+/// Lock order: `mu_` is a leaf, taken inside a session's `advice_mu_`.
+class ReplacementAdviceIndex {
+ public:
+  /// One session's share of the counts.
+  struct Contribution {
+    std::vector<uint32_t> predicates;  // interned, deduplicated
+    std::vector<uint32_t> views;       // interned, one per tracker symbol
+    std::vector<size_t> distances;     // published, one per tracker symbol
+  };
+
+  explicit ReplacementAdviceIndex(size_t horizon);
+
+  ReplacementAdviceIndex(const ReplacementAdviceIndex&) = delete;
+  ReplacementAdviceIndex& operator=(const ReplacementAdviceIndex&) = delete;
+
+  /// Minimum advised distance of `element` over every contribution, or
+  /// nullopt when no session advises it. Safe from any thread.
+  std::optional<size_t> Lookup(const CacheElement& element) const
+      BRAID_EXCLUDES(mu_);
+
+  /// Replaces `c` with the contribution of `base_relations` plus the
+  /// current distances of `tracker` (may be null: no path expression).
+  /// O(symbols x base relations).
+  void Replace(Contribution* c,
+               const std::vector<std::string>& base_relations,
+               const advice::PathTracker* tracker) BRAID_EXCLUDES(mu_);
+
+  /// Publishes `c`'s tracker distances after an advance; takes the lock
+  /// and touches the tables only for symbols whose distance changed. A
+  /// withdrawn contribution stays withdrawn: this is then a no-op.
+  void Update(Contribution* c, const std::vector<size_t>& distances)
+      BRAID_EXCLUDES(mu_);
+
+  /// Removes `c` from the counts and clears it (a closing session).
+  void Withdraw(Contribution* c) BRAID_EXCLUDES(mu_);
+
+ private:
+  static constexpr size_t kNone = advice::PathTracker::kUnreachable;
+
+  /// Append-only name -> dense id table.
+  struct Names {
+    std::unordered_map<std::string, uint32_t> ids;
+
+    uint32_t Intern(const std::string& name);
+    /// Id of `name`, or nullptr when no contribution ever mentioned it.
+    const uint32_t* Find(const std::string& name) const;
+  };
+
+  struct ViewCounts {
+    std::vector<uint32_t> at_distance;  // sessions per predicted distance
+    size_t min = kNone;                 // lowest populated distance
+    std::vector<uint32_t> predicted_relevant;  // per predicate id
+  };
+
+  /// Moves one session's distance for view `v` from `from` to `to`
+  /// (either may be kNone) and, when the session starts or stops
+  /// predicting v, its `predicates` in and out of predicted_relevant.
+  void Move(uint32_t v, size_t from, size_t to,
+            const std::vector<uint32_t>& predicates) BRAID_REQUIRES(mu_);
+  /// Adds (`sign` = +1) or removes (-1) all of `c`'s counts.
+  void Apply(const Contribution& c, int sign) BRAID_REQUIRES(mu_);
+
+  const size_t fallback_;  // max(horizon, 1) - 1, immutable
+
+  mutable Mutex mu_;
+  Names views_ BRAID_GUARDED_BY(mu_);
+  Names predicates_ BRAID_GUARDED_BY(mu_);
+  // One entry per interned name.
+  std::vector<ViewCounts> view_counts_ BRAID_GUARDED_BY(mu_);  // by view id
+  std::vector<uint32_t> relevant_ BRAID_GUARDED_BY(mu_);  // by predicate id
 };
 
 }  // namespace braid::cms

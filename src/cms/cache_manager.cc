@@ -11,6 +11,22 @@
 
 namespace braid::cms {
 
+CacheManager::CacheManager(size_t budget_bytes, size_t replacement_horizon,
+                           double intermediate_budget_fraction)
+    : budget_bytes_(budget_bytes),
+      horizon_(replacement_horizon),
+      intermediate_budget_bytes_(static_cast<size_t>(
+          static_cast<double>(budget_bytes) *
+          std::clamp(intermediate_budget_fraction, 0.0, 1.0))),
+      touches_(&obs::MetricsRegistry::Global().counter("cache.touches")),
+      insertions_(
+          &obs::MetricsRegistry::Global().counter("cache.insertions")),
+      evictions_(&obs::MetricsRegistry::Global().counter("cache.evictions")),
+      advisor_calls_(
+          &obs::MetricsRegistry::Global().counter("cache.advisor_calls")),
+      resident_bytes_(
+          &obs::MetricsRegistry::Global().gauge("cache.resident_bytes")) {}
+
 bool CacheManager::Insert(CacheElementPtr element) {
   const size_t size = element->ByteSize();
   if (size > budget_bytes_) {
@@ -37,10 +53,8 @@ bool CacheManager::Insert(CacheElementPtr element) {
   if (after > budget_bytes_) {
     MakeRoom(after - budget_bytes_, id);
   }
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.counter("cache.insertions").Increment();
-  registry.gauge("cache.resident_bytes")
-      .Set(static_cast<int64_t>(model_.TotalBytes()));
+  insertions_->Increment();
+  resident_bytes_->Set(static_cast<int64_t>(model_.TotalBytes()));
   return true;
 }
 
@@ -49,7 +63,7 @@ void CacheManager::Touch(const std::string& id) {
   if (e == nullptr) return;
   e->stats().last_used_seq.store(clock(), std::memory_order_relaxed);
   e->stats().hits.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry::Global().counter("cache.touches").Increment();
+  touches_->Increment();
 }
 
 IntermediateVerdict CacheManager::JudgeIntermediate(
@@ -137,7 +151,7 @@ void CacheManager::MakeRoomDerived(size_t needed, const std::string& exclude) {
     if (freed == 0) continue;
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     stats_.intermediates_evicted.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("cache.evictions").Increment();
+    evictions_->Increment();
     registry.counter("intermediate.evicted").Increment();
     needed = freed >= needed ? 0 : needed - freed;
   }
@@ -175,10 +189,9 @@ void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
   // views), then elements not predicted within the horizon, then farthest
   // predicted distance, then least recently used, with the element id as
   // a final tie-break so eviction order is fully deterministic. The
-  // advisor's prediction (an NFA reachability search) is the expensive
-  // part, so it is consulted exactly once per element per pass — evicting
-  // a victim changes no other element's rank, which makes one ranking
-  // pass sufficient for the whole batch. The candidate set is a snapshot;
+  // advisor is consulted exactly once per element per pass — evicting a
+  // victim changes no other element's rank, which makes one ranking pass
+  // sufficient for the whole batch. The candidate set is a snapshot;
   // a concurrently removed element simply frees no bytes when its turn
   // comes.
   struct Candidate {
@@ -193,7 +206,7 @@ void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
     std::optional<size_t> dist;
     if (advisor) {
       dist = advisor(*e);
-      registry.counter("cache.advisor_calls").Increment();
+      advisor_calls_->Increment();
     }
     const bool is_protected = dist.has_value() && *dist < horizon_;
     const size_t d =
@@ -219,15 +232,14 @@ void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
     const size_t freed = model_.Remove(c.element->id());
     if (freed == 0) continue;
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("cache.evictions").Increment();
+    evictions_->Increment();
     if (c.element->is_derived()) {
       stats_.intermediates_evicted.fetch_add(1, std::memory_order_relaxed);
       registry.counter("intermediate.evicted").Increment();
     }
     needed = freed >= needed ? 0 : needed - freed;
   }
-  registry.gauge("cache.resident_bytes")
-      .Set(static_cast<int64_t>(model_.TotalBytes()));
+  resident_bytes_->Set(static_cast<int64_t>(model_.TotalBytes()));
 }
 
 }  // namespace braid::cms

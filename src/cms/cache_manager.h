@@ -11,6 +11,7 @@
 #include "cms/cache_model.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 
 namespace braid::cms {
 
@@ -69,12 +70,7 @@ class CacheManager {
   /// intermediates may occupy (CmsConfig knob), so intermediates never
   /// starve advised views.
   CacheManager(size_t budget_bytes, size_t replacement_horizon,
-               double intermediate_budget_fraction = 0.25)
-      : budget_bytes_(budget_bytes),
-        horizon_(replacement_horizon),
-        intermediate_budget_bytes_(static_cast<size_t>(
-            static_cast<double>(budget_bytes) *
-            std::clamp(intermediate_budget_fraction, 0.0, 1.0))) {}
+               double intermediate_budget_fraction = 0.25);
 
   CacheModel& model() { return model_; }
   const CacheModel& model() const { return model_; }
@@ -150,11 +146,19 @@ class CacheManager {
   std::atomic<uint64_t> clock_{0};
 
   /// Leaf mutex for advisor replacement; MakeRoom copies the advisor out
-  /// and calls it without holding this (the advisor takes session locks).
+  /// and calls it without holding this (the advisor takes its own lock).
   mutable Mutex advisor_mu_;
   ReplacementAdvisor advisor_ BRAID_GUARDED_BY(advisor_mu_);
   LoadController* load_controller_ = nullptr;  // set once, pre-concurrency
   CacheManagerStats stats_;
+
+  /// Hot-path instruments, resolved once (every exact hit touches, every
+  /// install and eviction counts).
+  obs::Counter* touches_;
+  obs::Counter* insertions_;
+  obs::Counter* evictions_;
+  obs::Counter* advisor_calls_;
+  obs::Gauge* resident_bytes_;
 };
 
 }  // namespace braid::cms

@@ -164,6 +164,11 @@ Cms::Cms(dbms::RemoteDbms* remote, CmsConfig config)
       monitor_(&cache_, &rdi_, config.local_per_tuple_ms,
                config.enable_parallel,
                exec::ExecContext{pool_.get(), config.parallel_threshold}),
+      prefetch_memo_hits_(
+          &obs::MetricsRegistry::Global().counter("prefetch.memo_hits")),
+      intermediate_hits_(
+          &obs::MetricsRegistry::Global().counter("intermediate.hits")),
+      advice_index_(config.replacement_horizon),
       load_controller_(std::make_unique<LoadController>(
           LoadControlPolicy{config.enable_load_control,
                             config.admission_queue_bound,
@@ -183,25 +188,19 @@ Cms::Cms(dbms::RemoteDbms* remote, CmsConfig config)
   cache_.set_load_controller(load_controller_.get());
   {
     MutexLock lock(&sessions_mu_);
-    sessions_.push_back(std::make_unique<CmsSession>(/*id=*/0));
+    sessions_.push_back(std::make_unique<CmsSession>(/*id=*/0, advice_index_));
     default_session_ = sessions_.back().get();
   }
   // Replacement advice: the minimum predicted distance any open session's
   // tracker gives the element's origin view; when no tracker predicts,
   // the simplest advice form (the relevant-base-relation list) still
-  // protects session-relevant elements at the horizon boundary. Called by
-  // the cache manager with no cache lock held, from whichever session
-  // thread triggers an eviction.
+  // protects session-relevant elements at the horizon boundary. The index
+  // holds that minimum ready; called by the cache manager with no cache
+  // lock held, from whichever session thread triggers an eviction.
   cache_.set_replacement_advisor(
       [this](const CacheElement& e) -> std::optional<size_t> {
         if (!config_.enable_advice) return std::nullopt;
-        MutexLock lock(&sessions_mu_);
-        std::optional<size_t> best;
-        for (const std::unique_ptr<CmsSession>& s : sessions_) {
-          auto d = s->AdvisedDistance(e, config_.replacement_horizon);
-          if (d.has_value() && (!best.has_value() || *d < *best)) best = d;
-        }
-        return best;
+        return advice_index_.Lookup(e);
       });
 }
 
@@ -210,7 +209,8 @@ CmsSession* Cms::OpenSession(advice::AdviceSet advice) {
     advice = advice::AdviceSet{};  // The CMS functions without advice.
   }
   MutexLock lock(&sessions_mu_);
-  sessions_.push_back(std::make_unique<CmsSession>(next_session_id_++));
+  sessions_.push_back(
+      std::make_unique<CmsSession>(next_session_id_++, advice_index_));
   CmsSession* session = sessions_.back().get();
   session->InstallAdvice(std::move(advice));
   session->prefetch_rejects_version() = cache_.model().version();
@@ -221,14 +221,15 @@ void Cms::CloseSession(CmsSession* session) {
   if (session == nullptr || session == default_session_) return;
   std::unique_ptr<CmsSession> owned;
   {
-    // Unregister first: once out of the vector the replacement advisor no
-    // longer consults it, and the drain below (which can trigger installs
-    // → evictions → the advisor) cannot deadlock on sessions_mu_.
+    // Unregister first, advice included: from here on the session
+    // protects no element, even from evictions that the drain below
+    // triggers when it installs the session's completed prefetches.
     MutexLock lock(&sessions_mu_);
     for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
       if (it->get() == session) {
         owned = std::move(*it);
         sessions_.erase(it);
+        owned->WithdrawAdvice();
         break;
       }
     }
@@ -258,6 +259,27 @@ void Cms::DrainPrefetches() {
 }
 
 void Cms::DrainSessions() { scheduler_->Drain(); }
+
+std::string Cms::CheckReplacementAdvice() const {
+  auto show = [](std::optional<size_t> d) {
+    return d.has_value() ? StrCat(*d) : std::string("none");
+  };
+  MutexLock lock(&sessions_mu_);
+  for (const auto& [id, e] : cache_.model().elements()) {
+    std::optional<size_t> want;
+    for (const std::unique_ptr<CmsSession>& s : sessions_) {
+      auto d = s->AdvisedDistance(*e, config_.replacement_horizon);
+      if (d.has_value() && (!want.has_value() || *d < *want)) want = d;
+    }
+    const std::optional<size_t> got = advice_index_.Lookup(*e);
+    if (got != want) {
+      return StrCat("element ", id, " (origin view '", e->origin_view(),
+                    "'): index says ", show(got), ", sessions say ",
+                    show(want));
+    }
+  }
+  return "";
+}
 
 void Cms::InstallCompletedPrefetches(
     CmsSession& session, std::vector<Prefetcher::Completed> done) {
@@ -438,7 +460,7 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
     const std::string key = general.CanonicalKey();
     if (prefetcher_->InFlight(key)) continue;  // already being fetched
     if (session.prefetch_rejects().count(key) > 0) {
-      reg.counter("prefetch.memo_hits").Increment();
+      prefetch_memo_hits_->Increment();
       continue;
     }
 
@@ -643,8 +665,7 @@ Result<CmsAnswer> Cms::Query(CmsSession& session, const CaqlQuery& query) {
     }
   }
   if (derived_sources > 0) {
-    obs::MetricsRegistry::Global().counter("intermediate.hits")
-        .Increment(derived_sources);
+    intermediate_hits_->Increment(derived_sources);
     root.Annotate("intermediate_sources", StrCat(derived_sources));
   }
 

@@ -24,6 +24,7 @@
 #include "dbms/remote_dbms.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stream/stream_ops.h"
 
@@ -200,6 +201,13 @@ class Cms {
   /// Waits until every scheduled query has completed.
   void DrainSessions();
 
+  /// Checks the replacement advisor's index against its definition: for
+  /// every resident element, the index's answer must equal the minimum
+  /// over open sessions of CmsSession::AdvisedDistance. Returns "" when
+  /// they agree, else names the first element that differs. Call between
+  /// queries: a concurrent advance makes the two sides race.
+  std::string CheckReplacementAdvice() const;
+
   /// CMS-only aggregation service (the remote DML has no aggregates):
   /// evaluates `query` on the default session, then groups by the named
   /// head variables and applies the aggregate to `agg_var`.
@@ -357,14 +365,21 @@ class Cms {
   std::unique_ptr<exec::ThreadPool> pool_;  // before monitor_: it borrows it
   ExecutionMonitor monitor_;
   obs::Tracer tracer_;
+  obs::Counter* prefetch_memo_hits_;  // hot-path instruments, resolved once
+  obs::Counter* intermediate_hits_;
 
-  /// Session registry. The replacement advisor walks it (min predicted
-  /// distance across all open sessions), so it is locked; the default
-  /// session (index 0, id 0) lives for the whole CMS.
+  /// Replacement advice of every open session, kept current by the
+  /// sessions themselves; the cache's advisor is one probe of it. Declared
+  /// before the sessions, which publish into it until they are destroyed.
+  ReplacementAdviceIndex advice_index_;
+
+  /// Session registry; the default session (index 0, id 0) lives for the
+  /// whole CMS. Locked for Open/CloseSession and the advice check only:
+  /// the replacement advisor reads `advice_index_` instead.
   ///
-  /// Lock order: `sessions_mu_` → per-session `advice_mu_` only. Never
-  /// acquired with any cache stripe lock held (the cache calls the
-  /// advisor lock-free), and nothing below it calls back into the cache.
+  /// Lock order: `sessions_mu_` → per-session `advice_mu_` → the index's
+  /// leaf mutex. Never acquired with any cache stripe lock held, and
+  /// nothing below it calls back into the cache.
   mutable Mutex sessions_mu_;
   std::vector<std::unique_ptr<CmsSession>> sessions_
       BRAID_GUARDED_BY(sessions_mu_);

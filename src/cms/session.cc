@@ -20,11 +20,20 @@ std::string CmsMetrics::ToString() const {
 void CmsSession::InstallAdvice(advice::AdviceSet advice) {
   MutexLock lock(&advice_mu_);
   advice_.BeginSession(std::move(advice));
+  index_.Replace(&published_, advice_.advice().base_relations,
+                 advice_.tracker());
+}
+
+void CmsSession::WithdrawAdvice() {
+  MutexLock lock(&advice_mu_);
+  index_.Withdraw(&published_);
 }
 
 void CmsSession::OnQuery(const std::string& view_id) {
   MutexLock lock(&advice_mu_);
   advice_.OnQuery(view_id);
+  const advice::PathTracker* tracker = advice_.tracker();
+  if (tracker != nullptr) index_.Update(&published_, tracker->distances());
 }
 
 std::set<std::string> CmsSession::PrefetchCandidates() const {

@@ -45,17 +45,22 @@ struct CmsMetrics {
 ///    runs at most one query per session at a time, and a caller driving
 ///    the session synchronously must do so from one thread. Owners read
 ///    them at quiescence (between queries).
-///  - The *advice* members are locked (`advice_mu_`): the cache's
-///    replacement advisor walks every open session's advice from
-///    whichever session thread happens to trigger an eviction, racing the
-///    owning session's own OnQuery updates.
+///  - The *advice* members are locked (`advice_mu_`): they are read by
+///    the session's own queries and by the CMS's consistency check, and
+///    InstallAdvice, OnQuery and WithdrawAdvice publish the session's
+///    replacement advice into the CMS-wide index from under it.
 ///
-/// Lock order: `advice_mu_` is a leaf — nothing is acquired under it.
+/// Lock order: `advice_mu_` → the replacement-advice index's leaf mutex;
+/// nothing else is acquired under it.
 class CmsSession {
  public:
   /// A fresh session holds no advice (every advice-driven behaviour
-  /// degrades to its default, paper §3) until InstallAdvice.
-  explicit CmsSession(uint64_t id) : id_(id) {}
+  /// degrades to its default, paper §3) until InstallAdvice. The session
+  /// keeps its replacement advice published in `index`, which must outlive
+  /// it.
+  CmsSession(uint64_t id, ReplacementAdviceIndex& index)
+      : id_(id), index_(index) {}
+  ~CmsSession() { WithdrawAdvice(); }
 
   CmsSession(const CmsSession&) = delete;
   CmsSession& operator=(const CmsSession&) = delete;
@@ -83,6 +88,13 @@ class CmsSession {
   /// invalidated, so no query of this session may be in flight.
   void InstallAdvice(advice::AdviceSet advice);
 
+  /// Removes the session's replacement advice from the index (idempotent;
+  /// the destructor calls it too). For a closing session: from here on it
+  /// protects no cache element. The session's own answers, AdvisedDistance
+  /// included, are unchanged, and later OnQuery calls still advance its
+  /// tracker but publish nothing until the next InstallAdvice.
+  void WithdrawAdvice();
+
   void OnQuery(const std::string& view_id);
   std::set<std::string> PrefetchCandidates() const;
   std::vector<std::string> IndexHints(const std::string& view_id) const;
@@ -98,7 +110,8 @@ class CmsSession {
   /// This session's replacement advice for `element`: the tracker's
   /// predicted distance for the element's origin view, else — when the
   /// element reads a session-relevant base relation — protection at the
-  /// horizon boundary. Called by the cache's advisor from any thread.
+  /// horizon boundary. The reference definition the replacement-advice
+  /// index reproduces (Cms::CheckReplacementAdvice compares the two).
   std::optional<size_t> AdvisedDistance(const CacheElement& element,
                                         size_t horizon) const;
 
@@ -107,9 +120,12 @@ class CmsSession {
 
  private:
   const uint64_t id_;
+  ReplacementAdviceIndex& index_;
 
   mutable Mutex advice_mu_;
   AdviceManager advice_ BRAID_GUARDED_BY(advice_mu_);
+  ReplacementAdviceIndex::Contribution published_
+      BRAID_GUARDED_BY(advice_mu_);
 
   // Query-serial (see class comment).
   CmsMetrics metrics_;

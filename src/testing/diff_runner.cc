@@ -164,6 +164,19 @@ struct StreamChecker {
     }
   }
 
+  /// The replacement-advice invariant (DESIGN.md §10): the advisor's
+  /// min-over-sessions index agrees with every open session's own
+  /// AdvisedDistance on each resident element. Checked wherever the
+  /// catalog is, with every session quiescent.
+  void CheckAdvice(size_t index, const char* pass_label) {
+    std::string problem = cms->CheckReplacementAdvice();
+    if (!problem.empty()) {
+      Fail(index, "invariant", "",
+           StrCat(pass_label, ": replacement-advice index disagrees: ",
+                  problem));
+    }
+  }
+
   /// Runs one stream pass; `pass_label` distinguishes the first pass from
   /// the warm-cache recheck in failure details.
   void RunPass(const std::vector<size_t>& indices, const char* pass_label) {
@@ -191,6 +204,7 @@ struct StreamChecker {
       }
 
       CheckCatalog(index, pass_label);
+      CheckAdvice(index, pass_label);
 
       if (opts.corrupt_after_query >= 0 &&
           index == static_cast<size_t>(opts.corrupt_after_query)) {
@@ -229,6 +243,7 @@ struct StreamChecker {
       // Every wave ends with an insert/eviction burst behind it; the
       // catalog must agree with the stripes at each such point.
       CheckCatalog(indices[w % n], "sessions");
+      CheckAdvice(indices[w % n], "sessions");
       // The harness self-test hook, between waves so the poison lands at
       // a quiescent point and later waves must detect it.
       if (corrupt_now) {
@@ -297,12 +312,14 @@ struct StreamChecker {
       CheckAnswer(p.index, "open-loop", got);
     }
     CheckCatalog(indices[0], "open-loop");
+    CheckAdvice(indices[0], "open-loop");
 
     for (const auto& [index, s] : refused) {
       CheckAnswer(index, "open-loop-retry",
                   cms->Query(*sessions[s], workload.queries[index]));
     }
     CheckCatalog(indices[0], "open-loop-retry");
+    CheckAdvice(indices[0], "open-loop-retry");
 
     for (cms::CmsSession* s : sessions) cms->CloseSession(s);
   }

@@ -1,10 +1,19 @@
 // Unit tests for advice: view specifications, path expressions, and the
 // path tracker — including the paper's §4.2.2 worked tracking example.
 
+#include <deque>
+#include <limits>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "advice/advice.h"
 #include "advice/path_tracker.h"
+#include "common/rng.h"
 
 namespace braid::advice {
 namespace {
@@ -12,6 +21,8 @@ namespace {
 using logic::Term;
 
 PathExprPtr Pat(const std::string& id) { return PathExpr::Pattern(id, {}); }
+
+std::string ViewName(int64_t i) { return "v" + std::to_string(i); }
 
 TEST(ViewSpec, ToStringMatchesPaperNotation) {
   ViewSpec d2;
@@ -193,6 +204,252 @@ TEST(PathTracker, PossibleWithinHorizon) {
   EXPECT_EQ(tracker.PossibleWithin(2), (std::set<std::string>{"a", "b"}));
   EXPECT_EQ(tracker.PossibleWithin(9),
             (std::set<std::string>{"a", "b", "c"}));
+}
+
+// --- tracker distance vectors vs the per-query BFS they replaced -------
+
+/// The tracker as it was before distance vectors: the same NFA, with a
+/// fresh closure-per-edge BFS for every distance query. Kept as the
+/// reference the lookups must reproduce exactly.
+class BfsTracker {
+ public:
+  explicit BfsTracker(const PathExprPtr& expr) {
+    Fragment f = Build(*expr);
+    accept_ = f.accept;
+    current_ = Closure({f.start});
+  }
+
+  bool Advance(const std::string& view_id) {
+    auto it = ids_.find(view_id);
+    if (it == ids_.end()) {
+      ++mispredictions_;
+      return false;
+    }
+    std::set<int> next;
+    for (int st : current_) {
+      for (const auto& [sym, to] : sym_[st]) {
+        if (sym == it->second) next.insert(to);
+      }
+    }
+    if (next.empty()) {
+      ++mispredictions_;
+      return false;
+    }
+    current_ = Closure(next);
+    return true;
+  }
+
+  std::set<std::string> PredictNext() const {
+    std::set<std::string> out;
+    for (int st : current_) {
+      for (const auto& edge : sym_[st]) out.insert(names_[edge.first]);
+    }
+    return out;
+  }
+
+  std::optional<size_t> MinDistanceTo(const std::string& view_id) const {
+    auto it = ids_.find(view_id);
+    if (it == ids_.end()) return std::nullopt;
+    std::map<int, size_t> dist;
+    std::deque<int> frontier;
+    for (int st : current_) {
+      dist[st] = 0;
+      frontier.push_back(st);
+    }
+    size_t best = std::numeric_limits<size_t>::max();
+    while (!frontier.empty()) {
+      const int st = frontier.front();
+      frontier.pop_front();
+      const size_t d = dist[st];
+      if (d >= best) continue;
+      for (const auto& [sym, to] : sym_[st]) {
+        if (sym == it->second && d < best) best = d;
+        for (int nxt : Closure({to})) {
+          auto [dit, inserted] = dist.emplace(nxt, d + 1);
+          if (inserted) {
+            frontier.push_back(nxt);
+          } else if (dit->second > d + 1) {
+            dit->second = d + 1;
+            frontier.push_back(nxt);
+          }
+        }
+      }
+    }
+    if (best == std::numeric_limits<size_t>::max()) return std::nullopt;
+    return best;
+  }
+
+  std::set<std::string> PossibleWithin(size_t horizon) const {
+    std::set<std::string> out;
+    for (const std::string& name : names_) {
+      auto d = MinDistanceTo(name);
+      if (d.has_value() && *d < horizon) out.insert(name);
+    }
+    return out;
+  }
+
+  bool MayBeFinished() const { return current_.count(accept_) > 0; }
+  size_t mispredictions() const { return mispredictions_; }
+
+ private:
+  struct Fragment {
+    int start;
+    int accept;
+  };
+
+  int NewState() {
+    eps_.emplace_back();
+    sym_.emplace_back();
+    return static_cast<int>(eps_.size()) - 1;
+  }
+
+  Fragment Build(const PathExpr& expr) {
+    const int s = NewState();
+    const int a = NewState();
+    switch (expr.kind()) {
+      case PathExpr::Kind::kQueryPattern: {
+        auto [it, inserted] = ids_.emplace(
+            expr.view_id(), static_cast<int>(names_.size()));
+        if (inserted) names_.push_back(expr.view_id());
+        sym_[s].push_back({it->second, a});
+        break;
+      }
+      case PathExpr::Kind::kSequence: {
+        int prev = s;
+        for (const auto& child : expr.elements()) {
+          Fragment cf = Build(*child);
+          eps_[prev].push_back(cf.start);
+          if (prev != s) eps_[prev].push_back(a);
+          prev = cf.accept;
+        }
+        eps_[prev].push_back(a);
+        if (!expr.lo().symbolic && expr.lo().count == 0) {
+          eps_[s].push_back(a);
+        }
+        if (expr.hi().symbolic || expr.hi().count > 1 || expr.lo().symbolic ||
+            expr.lo().count > 1) {
+          eps_[prev].push_back(s);
+        }
+        break;
+      }
+      case PathExpr::Kind::kAlternation: {
+        for (const auto& child : expr.elements()) {
+          Fragment cf = Build(*child);
+          eps_[s].push_back(cf.start);
+          eps_[cf.accept].push_back(a);
+        }
+        eps_[s].push_back(a);
+        if (expr.selection() != 1) eps_[a].push_back(s);
+        break;
+      }
+    }
+    return {s, a};
+  }
+
+  std::set<int> Closure(const std::set<int>& states) const {
+    std::set<int> closed = states;
+    std::deque<int> frontier(states.begin(), states.end());
+    while (!frontier.empty()) {
+      const int st = frontier.front();
+      frontier.pop_front();
+      for (int next : eps_[st]) {
+        if (closed.insert(next).second) frontier.push_back(next);
+      }
+    }
+    return closed;
+  }
+
+  std::vector<std::vector<int>> eps_;
+  std::vector<std::vector<std::pair<int, int>>> sym_;
+  std::map<std::string, int> ids_;
+  std::vector<std::string> names_;
+  int accept_ = -1;
+  std::set<int> current_;
+  size_t mispredictions_ = 0;
+};
+
+/// Random path expression over views v0..v7 (repeats allowed): depth at
+/// most `depth`; sequences with lower bound 0 or 1 and a fixed (1 or 3)
+/// or symbolic upper bound; alternations with selection 0, 1 or 2.
+PathExprPtr RandomExpr(Rng& rng, int depth) {
+  if (depth == 0 || rng.Bernoulli(0.2)) {
+    return Pat(ViewName(rng.Uniform(0, 7)));
+  }
+  std::vector<PathExprPtr> members;
+  const int64_t n = rng.Uniform(1, 4);
+  for (int64_t i = 0; i < n; ++i) members.push_back(RandomExpr(rng, depth - 1));
+  if (rng.Bernoulli(0.6)) {
+    const RepBound hi = rng.Bernoulli(0.4)
+                            ? RepBound::Cardinality("Y")
+                            : RepBound::Fixed(rng.Bernoulli(0.5) ? 1 : 3);
+    return PathExpr::Sequence(std::move(members),
+                              RepBound::Fixed(rng.Uniform(0, 1)), hi);
+  }
+  return PathExpr::Alternation(std::move(members),
+                               static_cast<size_t>(rng.Uniform(0, 2)));
+}
+
+TEST(PathTrackerProperty, LookupsMatchTheReferenceBfs) {
+  const std::vector<std::string> views = {"v0", "v1", "v2", "v3", "v4",
+                                          "v5", "v6", "v7", "unknown"};
+  size_t compared = 0;
+  size_t far = 0;  // distances of two or more queries
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed);
+    const PathExprPtr expr = RandomExpr(rng, 3);
+    PathTracker tracker(expr);
+    BfsTracker reference(expr);
+    for (int step = 0; step <= 12; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step) + ": " + expr->ToString());
+      ASSERT_EQ(tracker.PredictNext(), reference.PredictNext());
+      ASSERT_EQ(tracker.MayBeFinished(), reference.MayBeFinished());
+      for (const std::string& v : views) {
+        const std::optional<size_t> want = reference.MinDistanceTo(v);
+        ASSERT_EQ(tracker.MinDistanceTo(v), want) << v;
+        ++compared;
+        if (want.has_value() && *want >= 2) ++far;
+      }
+      for (size_t h = 0; h <= 4; ++h) {
+        ASSERT_EQ(tracker.PossibleWithin(h), reference.PossibleWithin(h))
+            << "horizon " << h;
+      }
+      // Mostly predicted views, so the walk goes deep; sometimes any view,
+      // an unknown one included.
+      const std::set<std::string> next = reference.PredictNext();
+      std::string view = views[rng.Uniform(0, 8)];
+      if (!next.empty() && rng.Bernoulli(0.7)) {
+        auto it = next.begin();
+        std::advance(it, rng.Uniform(0, static_cast<int64_t>(next.size()) - 1));
+        view = *it;
+      }
+      ASSERT_EQ(tracker.Advance(view), reference.Advance(view)) << view;
+      ASSERT_EQ(tracker.mispredictions(), reference.mispredictions());
+    }
+  }
+  EXPECT_GT(compared, 10000u);
+  EXPECT_GT(far, 1000u) << "the walks never got far from a symbol";
+}
+
+TEST(PathTracker, DistanceVectorIndexedBySymbol) {
+  auto seq = PathExpr::Sequence({Pat("a"), Pat("b"), Pat("a")},
+                                RepBound::Fixed(1), RepBound::Fixed(1));
+  PathTracker tracker(seq);
+  ASSERT_EQ(tracker.num_symbols(), 2u);  // "a" is one symbol
+  EXPECT_EQ(tracker.symbol_name(0), "a");
+  EXPECT_EQ(tracker.symbol_name(1), "b");
+  EXPECT_EQ(tracker.distances(), (std::vector<size_t>{0, 1}));
+  EXPECT_TRUE(tracker.Advance("a"));
+  EXPECT_EQ(tracker.distances(), (std::vector<size_t>{1, 0}));
+  EXPECT_TRUE(tracker.Advance("b"));
+  EXPECT_TRUE(tracker.Advance("a"));
+  EXPECT_EQ(tracker.distances(),
+            (std::vector<size_t>{PathTracker::kUnreachable,
+                                 PathTracker::kUnreachable}));
+  // A misprediction holds the position and the vector.
+  EXPECT_FALSE(tracker.Advance("b"));
+  EXPECT_EQ(tracker.MinDistanceTo("b"), std::nullopt);
+  EXPECT_TRUE(tracker.MayBeFinished());
 }
 
 TEST(AdviceSet, FindViewAndToString) {

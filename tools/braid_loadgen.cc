@@ -9,11 +9,12 @@
 // throttling the offered load the way a closed-loop driver does. Latency
 // of each query is measured from its *scheduled arrival* to completion.
 //
-// Sweeps rate × pool threads × cache budget × admission {on, off} and
-// emits BENCH_load.json (arrivals, completions, kOverloaded rejections,
-// throughput, p50/p95/p99/p99.9 per measured phase, max queue depth, shed
-// counters) as a CI artifact. Each cell runs a warmup phase at the same
-// rate first (excluded from the quantiles), then the measured phase.
+// Sweeps pool threads × cache budget × sessions × rate × admission
+// {on, off} and emits BENCH_load.json (arrivals, completions, kOverloaded
+// rejections, throughput, p50/p95/p99/p99.9 per measured phase, max queue
+// depth, shed counters) as a CI artifact. Each cell runs a warmup phase at
+// the same rate first (excluded from the quantiles), then the measured
+// phase.
 //
 // The claim this tool defends (EXPERIMENTS.md L1): with the LoadController
 // ON, foreground p99 stays within 3x of the low-rate p99 up to the
@@ -24,7 +25,7 @@
 //   --rates R1,R2,...    arrival rates to sweep (qps; default sweep)
 //   --threads T1,...     pool worker counts to sweep (default 8)
 //   --budgets B1,...     cache budgets in bytes to sweep (default 256KiB)
-//   --sessions N         concurrent sessions (default 1000)
+//   --sessions S1,...    concurrent session counts to sweep (default 1000)
 //   --arrivals N         measured arrivals per cell (default 2000)
 //   --process poisson|fixed (default poisson)
 //   --admission on|off|both (default both)
@@ -52,9 +53,10 @@ namespace braid {
 namespace {
 
 struct Args {
-  /// The lowest rate must sit below service capacity (~170 qps at 1000
-  /// sessions over the 2KiB-budget cell on 4 workers) so the base p99 the
-  /// knee is measured against reflects service time, not queueing.
+  /// The lowest rate must sit below service capacity (~1.9k qps over the
+  /// 2KiB-budget cell on 4 workers, at 32 or 1000 sessions alike) so the
+  /// base p99 the knee is measured against reflects service time, not
+  /// queueing.
   std::vector<double> rates = {100, 250, 500, 1000, 2000, 4000};
   std::vector<size_t> threads = {4};
   /// 2KiB keeps the cache under constant eviction pressure, so a steady
@@ -63,7 +65,10 @@ struct Args {
   /// The second budget holds the whole working set: the no-pressure
   /// control, where even the top rate stays far from the knee.
   std::vector<size_t> budgets = {2048, 256 * 1024};
-  size_t sessions = 1000;
+  /// Open sessions per cell. Replacement advice costs the same at any
+  /// count, so goodput must not fall as sessions are added (ROADMAP item
+  /// 1); the smoke preset sweeps 32 and 1000 to show it.
+  std::vector<size_t> sessions = {1000};
   size_t arrivals = 2000;
   testing::ArrivalProcess process = testing::ArrivalProcess::kPoisson;
   bool admission_on = true;
@@ -94,7 +99,7 @@ std::vector<size_t> ParseSizes(const char* text) {
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--rates R,..] [--threads T,..] [--budgets B,..]\n"
-               "          [--sessions N] [--arrivals N] [--process "
+               "          [--sessions S,..] [--arrivals N] [--process "
                "poisson|fixed]\n"
                "          [--admission on|off|both] [--seed S] [--smoke]\n"
                "          [--json PATH]\n",
@@ -117,7 +122,7 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--budgets") {
       args.budgets = ParseSizes(next());
     } else if (flag == "--sessions") {
-      args.sessions = static_cast<size_t>(std::strtoull(next(), nullptr, 10));
+      args.sessions = ParseSizes(next());
     } else if (flag == "--arrivals") {
       args.arrivals = static_cast<size_t>(std::strtoull(next(), nullptr, 10));
     } else if (flag == "--process") {
@@ -141,7 +146,7 @@ Args Parse(int argc, char** argv) {
       args.rates = {500, 4000};
       args.threads = {4};
       args.budgets = {2048};
-      args.sessions = 32;
+      args.sessions = {32, 1000};
       args.arrivals = 300;
     } else if (flag == "--json") {
       args.json = next();
@@ -165,7 +170,7 @@ struct CellResult {
 /// One sweep cell: fresh CMS + sessions, warmup replay, measured replay.
 CellResult RunCell(const Args& args, const testing::GeneratedWorkload& wl,
                    double rate, size_t threads, size_t budget,
-                   bool admission) {
+                   size_t num_sessions, bool admission) {
   dbms::NetworkModel net;
   net.msg_latency_ms = 5;
   net.wall_clock_scale = 0.2;  // remote fetches consume real worker time
@@ -184,8 +189,8 @@ CellResult RunCell(const Args& args, const testing::GeneratedWorkload& wl,
   config.admission_queue_bound = 8 * threads;
   cms::Cms cms(&remote, config);
 
-  std::vector<testing::ReplaySession> sessions(args.sessions);
-  for (size_t s = 0; s < args.sessions; ++s) {
+  std::vector<testing::ReplaySession> sessions(num_sessions);
+  for (size_t s = 0; s < num_sessions; ++s) {
     sessions[s].session = cms.OpenSession(wl.advice);
     // Rotate the shared stream so concurrent sessions hit overlapping but
     // differently-ordered queries (same scheme as the difftest's
@@ -270,45 +275,48 @@ int main(int argc, char** argv) {
 
   braid::benchutil::Table table(
       braid::StrCat(
-          "Open-loop load sweep — ", args.sessions, " sessions, ",
-          args.arrivals, " arrivals/cell, ",
+          "Open-loop load sweep — ", args.arrivals, " arrivals/cell, ",
           args.process == ArrivalProcess::kPoisson ? "poisson" : "fixed",
           " arrivals, 5ms link at 0.2 wall-clock scale; latency is "
           "scheduled-arrival to completion (ms)"),
-      {"rate_qps", "threads", "budget", "admission", "arrivals", "completed",
-       "rejected", "qps", "p50_ms", "p95_ms", "p99_ms", "p999_ms",
-       "max_queue", "shed_prefetch", "shed_generalize", "shed_intermediate"});
+      {"rate_qps", "threads", "budget", "sessions", "admission", "arrivals",
+       "completed", "rejected", "qps", "p50_ms", "p95_ms", "p99_ms",
+       "p999_ms", "max_queue", "shed_prefetch", "shed_generalize",
+       "shed_intermediate"});
 
-  // Knee detection over the admission-ON rows of the first threads×budget
-  // combination: the knee is the last swept rate whose p99 is still within
-  // 3x of the lowest rate's p99 (EXPERIMENTS.md L1).
+  // Knee detection over the admission-ON rows of the first threads ×
+  // budget × sessions combination: the knee is the last swept rate whose
+  // p99 is still within 3x of the lowest rate's p99 (EXPERIMENTS.md L1).
   double base_p99_on = -1;
   double knee_rate = -1;
   bool past_knee = false;
 
   for (size_t threads : args.threads) {
     for (size_t budget : args.budgets) {
-      const bool knee_row = threads == args.threads.front() &&
-                            budget == args.budgets.front();
-      for (double rate : args.rates) {
-        for (int admission = 1; admission >= 0; --admission) {
-          if (admission == 1 && !args.admission_on) continue;
-          if (admission == 0 && !args.admission_off) continue;
-          const braid::CellResult cell = braid::RunCell(
-              args, wl, rate, threads, budget, admission == 1);
-          table.AddRow(rate, threads, budget, admission ? "on" : "off",
-                       cell.measured.issued, cell.measured.completed,
-                       cell.measured.rejected, cell.qps, cell.p50, cell.p95,
-                       cell.p99, cell.p999, cell.measured.max_queue_depth,
-                       cell.shed_prefetch, cell.shed_generalize,
-                       cell.shed_intermediate);
-          if (admission == 1 && knee_row) {
-            if (base_p99_on < 0) base_p99_on = cell.p99;
-            if (!past_knee && base_p99_on > 0 &&
-                cell.p99 <= 3.0 * base_p99_on) {
-              knee_rate = rate;
-            } else {
-              past_knee = true;
+      for (size_t sessions : args.sessions) {
+        const bool knee_row = threads == args.threads.front() &&
+                              budget == args.budgets.front() &&
+                              sessions == args.sessions.front();
+        for (double rate : args.rates) {
+          for (int admission = 1; admission >= 0; --admission) {
+            if (admission == 1 && !args.admission_on) continue;
+            if (admission == 0 && !args.admission_off) continue;
+            const braid::CellResult cell = braid::RunCell(
+                args, wl, rate, threads, budget, sessions, admission == 1);
+            table.AddRow(rate, threads, budget, sessions,
+                         admission ? "on" : "off", cell.measured.issued,
+                         cell.measured.completed, cell.measured.rejected,
+                         cell.qps, cell.p50, cell.p95, cell.p99, cell.p999,
+                         cell.measured.max_queue_depth, cell.shed_prefetch,
+                         cell.shed_generalize, cell.shed_intermediate);
+            if (admission == 1 && knee_row) {
+              if (base_p99_on < 0) base_p99_on = cell.p99;
+              if (!past_knee && base_p99_on > 0 &&
+                  cell.p99 <= 3.0 * base_p99_on) {
+                knee_rate = rate;
+              } else {
+                past_knee = true;
+              }
             }
           }
         }
