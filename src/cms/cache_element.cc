@@ -6,6 +6,59 @@
 
 namespace braid::cms {
 
+namespace {
+
+/// Definition and bookkeeping, charged to every element.
+constexpr size_t kElementOverheadBytes = 128;
+
+}  // namespace
+
+void CacheByteTotals::Charge(bool is_derived, size_t bytes) {
+  if (is_derived) derived_.fetch_add(bytes, std::memory_order_acq_rel);
+  const size_t now =
+      resident_.fetch_add(bytes, std::memory_order_acq_rel) + bytes;
+  resident_gauge_->Set(static_cast<int64_t>(now));
+}
+
+void CacheByteTotals::Discharge(bool is_derived, size_t bytes) {
+  if (is_derived) derived_.fetch_sub(bytes, std::memory_order_acq_rel);
+  const size_t now =
+      resident_.fetch_sub(bytes, std::memory_order_acq_rel) - bytes;
+  resident_gauge_->Set(static_cast<int64_t>(now));
+}
+
+CacheElement::CacheElement(std::string id, caql::CaqlQuery definition,
+                           std::shared_ptr<const rel::Relation> extension)
+    : id_(std::move(id)),
+      definition_(std::move(definition)),
+      extension_(std::move(extension)),
+      bytes_(kElementOverheadBytes +
+             (extension_ != nullptr ? extension_->ByteSize() : 0)) {}
+
+CacheElement::CacheElement(std::string id, caql::CaqlQuery definition)
+    : id_(std::move(id)),
+      definition_(std::move(definition)),
+      bytes_(kElementOverheadBytes) {}
+
+void CacheElement::Grow(size_t bytes) {
+  bytes_ += bytes;
+  if (charged_ != nullptr) charged_->Charge(derived_, bytes);
+}
+
+void CacheElement::ChargeTo(CacheByteTotals* totals) {
+  MutexLock lock(&repr_mu_);
+  charged_ = totals;
+  charged_->Charge(derived_, bytes_);
+}
+
+size_t CacheElement::Discharge() {
+  MutexLock lock(&repr_mu_);
+  if (charged_ == nullptr) return 0;
+  charged_->Discharge(derived_, bytes_);
+  charged_ = nullptr;
+  return bytes_;
+}
+
 std::shared_ptr<const rel::HashIndex> CacheElement::index(size_t column) const {
   MutexLock lock(&repr_mu_);
   auto it = indexes_.find(column);
@@ -23,6 +76,7 @@ std::shared_ptr<const rel::HashIndex> CacheElement::EnsureIndex(size_t column) {
   if (extension_ == nullptr) return nullptr;
   auto index = std::make_shared<rel::HashIndex>(*extension_, column);
   indexes_.emplace(column, index);
+  Grow(index->ByteSize());
   return index;
 }
 
@@ -35,6 +89,7 @@ std::shared_ptr<const rel::Relation> CacheElement::EnsureSorted(
   auto rep =
       std::make_shared<rel::Relation>(rel::Sort(*extension_, columns));
   sorted_.emplace(columns, rep);
+  Grow(rep->ByteSize());
   return rep;
 }
 
@@ -52,7 +107,12 @@ size_t CacheElement::NumSortedRepresentations() const {
 
 size_t CacheElement::ByteSize() const {
   MutexLock lock(&repr_mu_);
-  size_t total = 128;  // definition + bookkeeping
+  return bytes_;
+}
+
+size_t CacheElement::ComputeByteSize() const {
+  MutexLock lock(&repr_mu_);
+  size_t total = kElementOverheadBytes;
   if (extension_ != nullptr) total += extension_->ByteSize();
   for (const auto& [col, idx] : indexes_) total += idx->ByteSize();
   for (const auto& [cols, rep] : sorted_) total += rep->ByteSize();

@@ -9,10 +9,34 @@
 #include "caql/caql_query.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "relational/index.h"
 #include "relational/relation.h"
 
 namespace braid::cms {
+
+/// Byte totals of the elements resident in one cache model — what the
+/// budget is checked against (DESIGN.md §10 "Byte accounting"). An
+/// element charges them while resident: CacheModel::Register attaches it,
+/// CacheModel::RemoveLocked detaches it, and a representation the element
+/// builds in between is charged as it is built. Reads are plain loads.
+class CacheByteTotals {
+ public:
+  /// `resident_gauge` is set to the resident total on every change.
+  explicit CacheByteTotals(obs::Gauge* resident_gauge)
+      : resident_gauge_(resident_gauge) {}
+
+  size_t resident() const { return resident_.load(std::memory_order_acquire); }
+  size_t derived() const { return derived_.load(std::memory_order_acquire); }
+
+  void Charge(bool is_derived, size_t bytes);
+  void Discharge(bool is_derived, size_t bytes);
+
+ private:
+  std::atomic<size_t> resident_{0};
+  std::atomic<size_t> derived_{0};  // the part held by derived elements
+  obs::Gauge* resident_gauge_;
+};
 
 /// Usage metadata kept per cache element: the "historical meta-data to
 /// support cache replacement and accumulate performance measurement
@@ -39,20 +63,16 @@ struct CacheElementStats {
 /// Thread safety: id, definition, extension, and origin view are immutable
 /// after the element is installed in the cache model, so readers touch
 /// them without synchronization. The co-existing representations (indexes
-/// and sorted copies) are built lazily from any session's thread and are
-/// guarded by a per-element mutex; stats fields are atomics.
+/// and sorted copies), the memoized byte size and the totals the element
+/// charges are guarded by a per-element mutex; stats fields are atomics.
 class CacheElement {
  public:
   /// Materialized element.
   CacheElement(std::string id, caql::CaqlQuery definition,
-               std::shared_ptr<const rel::Relation> extension)
-      : id_(std::move(id)),
-        definition_(std::move(definition)),
-        extension_(std::move(extension)) {}
+               std::shared_ptr<const rel::Relation> extension);
 
   /// Generator-form element (definition only).
-  CacheElement(std::string id, caql::CaqlQuery definition)
-      : id_(std::move(id)), definition_(std::move(definition)) {}
+  CacheElement(std::string id, caql::CaqlQuery definition);
 
   const std::string& id() const { return id_; }
   const caql::CaqlQuery& definition() const { return definition_; }
@@ -80,13 +100,15 @@ class CacheElement {
   std::shared_ptr<const rel::HashIndex> index(size_t column) const;
 
   /// Builds (or returns the existing) hash index on `column`. Requires a
-  /// materialized extension.
+  /// materialized extension. A new index adds to ByteSize() and, while the
+  /// element is resident, to the cache totals.
   std::shared_ptr<const rel::HashIndex> EnsureIndex(size_t column);
 
   /// Co-existing alternative representation (paper §5.2): the extension
   /// sorted by `columns`, built on first request and shared by every
   /// later use that needs the same ordering. Returns nullptr for
-  /// generator-form elements.
+  /// generator-form elements. Charged like EnsureIndex; budgeted callers
+  /// go through CacheManager::EnsureSorted, which makes room first.
   std::shared_ptr<const rel::Relation> EnsureSorted(
       const std::vector<size_t>& columns);
 
@@ -97,9 +119,14 @@ class CacheElement {
   /// Number of alternative (sorted) representations currently held.
   size_t NumSortedRepresentations() const;
 
-  /// Bytes consumed by the extension plus indexes (a small constant for
-  /// generator-form elements).
+  /// Bytes consumed by the extension plus indexes and sorted copies (a
+  /// small constant for generator-form elements). Memoized: computed at
+  /// construction and grown as representations are built, so O(1).
   size_t ByteSize() const;
+
+  /// ByteSize() recounted by walking every tuple of every representation:
+  /// the reference CacheModel::CheckByteAccounting compares against.
+  size_t ComputeByteSize() const;
 
   CacheElementStats& stats() { return stats_; }
   const CacheElementStats& stats() const { return stats_; }
@@ -107,19 +134,38 @@ class CacheElement {
   std::string ToString() const;
 
  private:
+  friend class CacheModel;
+
+  /// Starts charging `totals` with this element's bytes, now and as its
+  /// representations grow. CacheModel calls it under the stripe lock that
+  /// publishes the element; an element is resident in at most one model.
+  void ChargeTo(CacheByteTotals* totals);
+
+  /// Stops charging and discharges what was charged; returns those bytes
+  /// (0 when not charging). Called under the stripe lock that unpublishes
+  /// the element.
+  size_t Discharge();
+
+  /// Adds a representation of `bytes` to the footprint.
+  void Grow(size_t bytes) BRAID_REQUIRES(repr_mu_);
+
   std::string id_;
   caql::CaqlQuery definition_;
   std::shared_ptr<const rel::Relation> extension_;  // null => generator form
   std::string origin_view_;
   bool derived_ = false;
 
-  /// Guards the lazily built representations; a leaf lock (nothing else is
-  /// acquired while it is held).
+  /// Guards the lazily built representations and the byte accounting; a
+  /// leaf lock (nothing else is acquired while it is held). Lock order:
+  /// a cache-model stripe lock, then this.
   mutable Mutex repr_mu_;
   std::map<size_t, std::shared_ptr<const rel::HashIndex>> indexes_
       BRAID_GUARDED_BY(repr_mu_);
   std::map<std::vector<size_t>, std::shared_ptr<const rel::Relation>> sorted_
       BRAID_GUARDED_BY(repr_mu_);
+  size_t bytes_ BRAID_GUARDED_BY(repr_mu_);
+  /// The totals of the model this element is resident in, or null.
+  CacheByteTotals* charged_ BRAID_GUARDED_BY(repr_mu_) = nullptr;
   CacheElementStats stats_;
 };
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <tuple>
 #include <utility>
 
 #include "cms/load_controller.h"
 #include "obs/metrics.h"
+#include "relational/operators.h"
 
 namespace braid::cms {
 
@@ -24,38 +24,60 @@ CacheManager::CacheManager(size_t budget_bytes, size_t replacement_horizon,
       evictions_(&obs::MetricsRegistry::Global().counter("cache.evictions")),
       advisor_calls_(
           &obs::MetricsRegistry::Global().counter("cache.advisor_calls")),
-      resident_bytes_(
-          &obs::MetricsRegistry::Global().gauge("cache.resident_bytes")) {}
+      rejected_too_large_(&obs::MetricsRegistry::Global().counter(
+          "cache.rejected_too_large")),
+      intermediates_admitted_(&obs::MetricsRegistry::Global().counter(
+          "intermediate.admitted")),
+      intermediates_rejected_(&obs::MetricsRegistry::Global().counter(
+          "intermediate.rejected")),
+      intermediates_evicted_(&obs::MetricsRegistry::Global().counter(
+          "intermediate.evicted")) {}
+
+bool CacheManager::MakeRoomFor(size_t bytes, const std::string& exclude) {
+  const size_t current = model_.TotalBytes();
+  if (current + bytes > budget_bytes_) {
+    MakeRoom(current + bytes - budget_bytes_, exclude);
+  }
+  return model_.TotalBytes() + bytes <= budget_bytes_;
+}
+
+void CacheManager::TrimToBudget(const std::string& exclude) {
+  const size_t after = model_.TotalBytes();
+  if (after > budget_bytes_) MakeRoom(after - budget_bytes_, exclude);
+}
 
 bool CacheManager::Insert(CacheElementPtr element) {
   const size_t size = element->ByteSize();
   if (size > budget_bytes_) {
     stats_.rejected_too_large.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global().counter("cache.rejected_too_large")
-        .Increment();
+    rejected_too_large_->Increment();
     return false;
   }
   const uint64_t now = clock();
   element->stats().created_seq.store(now, std::memory_order_relaxed);
   element->stats().last_used_seq.store(now, std::memory_order_relaxed);
   const std::string id = element->id();
-  const size_t current = model_.TotalBytes();
-  if (current + size > budget_bytes_) {
-    MakeRoom(current + size - budget_bytes_, id);
-  }
+  MakeRoomFor(size, id);
   model_.Register(std::move(element));
   stats_.insertions.fetch_add(1, std::memory_order_relaxed);
-  // Concurrent inserts each pre-evict for their own projection, but two
-  // installs can still land together; whichever re-checks last pulls the
-  // footprint back under budget (the invariant holds whenever no Insert
-  // is mid-flight).
-  const size_t after = model_.TotalBytes();
-  if (after > budget_bytes_) {
-    MakeRoom(after - budget_bytes_, id);
-  }
+  TrimToBudget(id);
   insertions_->Increment();
-  resident_bytes_->Set(static_cast<int64_t>(model_.TotalBytes()));
   return true;
+}
+
+std::shared_ptr<const rel::Relation> CacheManager::EnsureSorted(
+    const CacheElementPtr& element, const std::vector<size_t>& columns) {
+  if (auto kept = element->sorted(columns)) return kept;
+  if (!element->is_materialized()) return nullptr;
+  // A sorted copy holds the extension's tuples, so it costs what the
+  // extension does.
+  if (!MakeRoomFor(element->extension()->ByteSize(), element->id())) {
+    return std::make_shared<const rel::Relation>(
+        rel::Sort(*element->extension(), columns));
+  }
+  std::shared_ptr<const rel::Relation> rep = element->EnsureSorted(columns);
+  TrimToBudget(element->id());
+  return rep;
 }
 
 void CacheManager::Touch(const std::string& id) {
@@ -77,8 +99,7 @@ IntermediateVerdict CacheManager::JudgeIntermediate(
     shed.reason = "shed-overload";
     load_controller_->CountShed(ShedKind::kIntermediate);
     stats_.intermediates_rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global().counter("intermediate.rejected")
-        .Increment();
+    intermediates_rejected_->Increment();
     return shed;
   }
   IntermediateVerdict v;
@@ -106,28 +127,18 @@ IntermediateVerdict CacheManager::JudgeIntermediate(
     v.admit = true;
     v.reason = "admit";
   }
-  auto& registry = obs::MetricsRegistry::Global();
   if (v.admit) {
     stats_.intermediates_admitted.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("intermediate.admitted").Increment();
+    intermediates_admitted_->Increment();
   } else {
     stats_.intermediates_rejected.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("intermediate.rejected").Increment();
+    intermediates_rejected_->Increment();
   }
   return v;
 }
 
-size_t CacheManager::DerivedBytes() const {
-  size_t total = 0;
-  for (const auto& [id, e] : model_.elements()) {
-    if (e->is_derived()) total += e->ByteSize();
-  }
-  return total;
-}
-
 void CacheManager::MakeRoomDerived(size_t needed, const std::string& exclude) {
   if (needed == 0) return;
-  auto& registry = obs::MetricsRegistry::Global();
   // LRU among derived elements only; no advisor consultation — the slice
   // budget is a hard bound, and intermediates are reconstructible.
   struct Candidate {
@@ -135,8 +146,8 @@ void CacheManager::MakeRoomDerived(size_t needed, const std::string& exclude) {
     CacheElementPtr element;
   };
   std::vector<Candidate> candidates;
-  for (const auto& [id, e] : model_.elements()) {
-    if (!e->is_derived() || id == exclude) continue;
+  for (const CacheElementPtr& e : model_.ResidentElements()) {
+    if (!e->is_derived() || e->id() == exclude) continue;
     candidates.push_back(
         {e->stats().last_used_seq.load(std::memory_order_relaxed), e});
   }
@@ -152,7 +163,7 @@ void CacheManager::MakeRoomDerived(size_t needed, const std::string& exclude) {
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     stats_.intermediates_evicted.fetch_add(1, std::memory_order_relaxed);
     evictions_->Increment();
-    registry.counter("intermediate.evicted").Increment();
+    intermediates_evicted_->Increment();
     needed = freed >= needed ? 0 : needed - freed;
   }
 }
@@ -176,7 +187,6 @@ bool CacheManager::InsertIntermediate(CacheElementPtr element) {
 
 void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
   if (needed == 0) return;
-  auto& registry = obs::MetricsRegistry::Global();
 
   ReplacementAdvisor advisor;
   {
@@ -198,11 +208,11 @@ void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
     std::tuple<int, int, size_t, uint64_t> rank;
     CacheElementPtr element;
   };
-  const std::map<std::string, CacheElementPtr> resident = model_.elements();
+  const std::vector<CacheElementPtr> resident = model_.ResidentElements();
   std::vector<Candidate> candidates;
   candidates.reserve(resident.size());
-  for (const auto& [id, e] : resident) {
-    if (id == exclude) continue;
+  for (const CacheElementPtr& e : resident) {
+    if (e->id() == exclude) continue;
     std::optional<size_t> dist;
     if (advisor) {
       dist = advisor(*e);
@@ -235,11 +245,10 @@ void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
     evictions_->Increment();
     if (c.element->is_derived()) {
       stats_.intermediates_evicted.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("intermediate.evicted").Increment();
+      intermediates_evicted_->Increment();
     }
     needed = freed >= needed ? 0 : needed - freed;
   }
-  resident_bytes_->Set(static_cast<int64_t>(model_.TotalBytes()));
 }
 
 }  // namespace braid::cms

@@ -63,7 +63,9 @@ using ReplacementAdvisor =
 /// stripe-aware: candidates are collected and ranked from snapshots with
 /// no lock held, and each eviction locks exactly one stripe (via
 /// CacheModel::Remove), so an eviction pass never blocks reads or installs
-/// on other stripes.
+/// on other stripes. Budget checks read the model's byte totals, which
+/// are loads (CacheModel::TotalBytes), so a write costs O(1) in the size
+/// of the cache until it has to evict.
 class CacheManager {
  public:
   /// `intermediate_budget_fraction` bounds the slice of the budget derived
@@ -119,8 +121,16 @@ class CacheManager {
   /// derived elements (least recently used first), then inserts normally.
   bool InsertIntermediate(CacheElementPtr element);
 
-  /// Bytes currently held by derived elements (a stripe-snapshot walk).
-  size_t DerivedBytes() const;
+  /// The sorted representation of a resident `element` (paper §5.2),
+  /// budgeted: an existing copy is reused; a new one is kept only after
+  /// room is made for it (never by evicting `element` itself), and when
+  /// it still does not fit it is returned without being kept. Null for
+  /// generator-form elements.
+  std::shared_ptr<const rel::Relation> EnsureSorted(
+      const CacheElementPtr& element, const std::vector<size_t>& columns);
+
+  /// Bytes currently held by derived elements (a load).
+  size_t DerivedBytes() const { return model_.DerivedBytes(); }
 
   size_t budget_bytes() const { return budget_bytes_; }
   size_t intermediate_budget_bytes() const {
@@ -134,6 +144,16 @@ class CacheManager {
   /// stripe lock at a time and no lock while ranking or consulting the
   /// advisor.
   void MakeRoom(size_t needed, const std::string& exclude);
+
+  /// Evicts (never `exclude`) until `bytes` more fit within the budget;
+  /// returns whether they now fit.
+  bool MakeRoomFor(size_t bytes, const std::string& exclude);
+
+  /// Post-write re-check: concurrent writers each make room for their own
+  /// bytes, but two can still land together; whichever re-checks last
+  /// evicts (never `exclude`) back under the budget, so the budget holds
+  /// whenever no write is mid-flight.
+  void TrimToBudget(const std::string& exclude);
 
   /// Evicts derived elements only (least recently used first) until at
   /// least `needed` bytes of the derived slice are free.
@@ -152,13 +172,17 @@ class CacheManager {
   LoadController* load_controller_ = nullptr;  // set once, pre-concurrency
   CacheManagerStats stats_;
 
-  /// Hot-path instruments, resolved once (every exact hit touches, every
-  /// install and eviction counts).
+  /// Instruments, resolved once (every exact hit touches, every install,
+  /// eviction and admission verdict counts). `cache.resident_bytes` is
+  /// set by the model's byte totals.
   obs::Counter* touches_;
   obs::Counter* insertions_;
   obs::Counter* evictions_;
   obs::Counter* advisor_calls_;
-  obs::Gauge* resident_bytes_;
+  obs::Counter* rejected_too_large_;
+  obs::Counter* intermediates_admitted_;
+  obs::Counter* intermediates_rejected_;
+  obs::Counter* intermediates_evicted_;
 };
 
 }  // namespace braid::cms

@@ -10,10 +10,18 @@
 namespace braid::cms {
 
 CacheModel::CacheModel()
-    : stripe_contention_(
+    : totals_(&obs::MetricsRegistry::Global().gauge("cache.resident_bytes")),
+      stripe_contention_(
           &obs::MetricsRegistry::Global().counter("cache.stripe_contention")),
       lock_wait_ms_(
           &obs::MetricsRegistry::Global().histogram("cache.lock_wait_ms")) {}
+
+CacheModel::~CacheModel() {
+  for (Stripe& s : stripes_) {
+    MutexLock lock(&s.mu);
+    for (const auto& [id, e] : s.elements) e->Discharge();
+  }
+}
 
 CacheModel::StripeLock::StripeLock(const CacheModel* model, const Stripe& s)
     : mu_(&s.mu) {
@@ -64,6 +72,7 @@ void CacheModel::Register(CacheElementPtr element) {
   }
   s.catalog.Insert(id, std::move(signature));
   s.by_canonical_key[key] = id;
+  element->ChargeTo(&totals_);
   s.elements[id] = std::move(element);
   ++s.version;
   s.snapshot = nullptr;
@@ -78,7 +87,7 @@ void CacheModel::Register(CacheElementPtr element) {
 size_t CacheModel::RemoveLocked(Stripe& s, std::string id) {
   auto it = s.elements.find(id);
   if (it == s.elements.end()) return 0;
-  const size_t freed = it->second->ByteSize();
+  const size_t freed = it->second->Discharge();
   for (const logic::Atom& a : it->second->definition().RelationAtoms()) {
     auto pit = s.by_predicate.find(a.predicate);
     if (pit != s.by_predicate.end()) {
@@ -234,6 +243,16 @@ std::map<std::string, CacheElementPtr> CacheModel::elements() const {
   return out;
 }
 
+std::vector<CacheElementPtr> CacheModel::ResidentElements() const {
+  std::vector<CacheElementPtr> out;
+  out.reserve(size());
+  for (size_t i = 0; i < kNumStripes; ++i) {
+    std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
+    for (const auto& [id, e] : snap->elements) out.push_back(e);
+  }
+  return out;
+}
+
 bool CacheModel::HasMaterializedFor(const std::string& predicate) const {
   for (size_t i = 0; i < kNumStripes; ++i) {
     std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
@@ -265,13 +284,28 @@ rel::Relation CacheModel::AsRelation() const {
   return out;
 }
 
-size_t CacheModel::TotalBytes() const {
-  size_t total = 0;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
-    for (const auto& [id, e] : snap->elements) total += e->ByteSize();
+std::string CacheModel::CheckByteAccounting() const {
+  size_t resident = 0;
+  size_t derived = 0;
+  for (const CacheElementPtr& e : ResidentElements()) {
+    const size_t memo = e->ByteSize();
+    const size_t recount = e->ComputeByteSize();
+    if (memo != recount) {
+      return StrCat("element ", e->id(), " memoizes ", memo,
+                    " bytes, recount gives ", recount);
+    }
+    resident += recount;
+    if (e->is_derived()) derived += recount;
   }
-  return total;
+  if (TotalBytes() != resident) {
+    return StrCat("resident total ", TotalBytes(), " bytes, recount gives ",
+                  resident);
+  }
+  if (DerivedBytes() != derived) {
+    return StrCat("derived total ", DerivedBytes(), " bytes, recount gives ",
+                  derived);
+  }
+  return "";
 }
 
 std::string CacheModel::ToString() const {

@@ -53,13 +53,25 @@ struct StripeSnapshot {
 /// pointer under the stripe lock and search lock-free. A separate leaf
 /// mutex guards the id -> stripe directory (ids hash to nothing useful —
 /// the canonical key determines the stripe). Lock order: a stripe mutex
-/// may be held while taking `id_mu_`, never the reverse, and no operation
-/// ever holds two stripe locks at once.
+/// may be held while taking `id_mu_` or an element's `repr_mu_`, never the
+/// reverse, and no operation ever holds two stripe locks at once.
+///
+/// Byte accounting (DESIGN.md §10): the model keeps resident and derived
+/// byte totals. Register charges an element's memoized size, RemoveLocked
+/// discharges it, and a resident element charges each representation it
+/// builds, all under the element's `repr_mu_`; so the totals are O(1)
+/// loads and always equal the sum of the resident elements' sizes.
 class CacheModel {
  public:
   static constexpr size_t kNumStripes = 8;
 
   CacheModel();
+  /// Detaches the resident elements from the totals: elements outlive the
+  /// model wherever answers or plans still share them.
+  ~CacheModel();
+
+  CacheModel(const CacheModel&) = delete;
+  CacheModel& operator=(const CacheModel&) = delete;
 
   /// Fresh element id ("E1", "E2", ...).
   std::string NextId();
@@ -104,6 +116,11 @@ class CacheModel {
   /// concurrent. Element pointers stay valid after eviction.)
   std::map<std::string, CacheElementPtr> elements() const;
 
+  /// Every resident element, gathered from the per-stripe snapshots in no
+  /// particular order: elements() without the merged map, for callers
+  /// that rank or filter the whole cache.
+  std::vector<CacheElementPtr> ResidentElements() const;
+
   size_t size() const { return count_.load(std::memory_order_acquire); }
 
   /// Monotonic content version: bumped by every Register and every
@@ -112,10 +129,21 @@ class CacheModel {
   /// judged against and detect staleness with one comparison.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
-  /// Total bytes across all elements, computed live: co-existing
-  /// representations (indexes, sorted copies) built after install count
-  /// against the budget too.
-  size_t TotalBytes() const;
+  /// Total bytes across all resident elements, co-existing
+  /// representations (indexes, sorted copies) built after install
+  /// included. A load: walks no tuples and rebuilds no snapshot.
+  size_t TotalBytes() const { return totals_.resident(); }
+
+  /// The part of TotalBytes() held by derived elements (also a load).
+  size_t DerivedBytes() const { return totals_.derived(); }
+
+  /// Verifies the byte accounting against an independent recount: every
+  /// resident element's memoized ByteSize() equals its
+  /// ComputeByteSize() tuple walk, and the resident and derived totals
+  /// equal the sums of those recounts. Returns "" when consistent, else
+  /// the first disagreement. Call between queries: a concurrent install
+  /// or eviction makes the two sides race.
+  std::string CheckByteAccounting() const;
 
   /// True if some materialized element's definition mentions `predicate` —
   /// the signal the IE's shaper uses to prefer conjunct orders that hit
@@ -166,7 +194,7 @@ class CacheModel {
   size_t StripeOf(const std::string& canonical_key) const;
 
   /// Removes `id` from stripe `s` (which must own it) and from the id
-  /// directory; returns the bytes freed.
+  /// directory; returns the bytes freed (what the element discharged).
   // `id` is taken by value: callers may pass a reference into one of the
   // stripe maps this function erases from (e.g. Register passes the
   // by_canonical_key value of the element being displaced), and the id
@@ -187,6 +215,7 @@ class CacheModel {
   std::atomic<int> next_id_{1};
   std::atomic<uint64_t> version_{0};
   std::atomic<size_t> count_{0};
+  CacheByteTotals totals_;
 
   // Registry-owned instrument handles (process lifetime).
   obs::Counter* stripe_contention_;

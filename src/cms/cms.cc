@@ -294,8 +294,11 @@ void Cms::InstallCompletedPrefetches(
     // prefetch was in flight (it lost the race); the fetch was wasted
     // but harmless.
     if (cache_.model().ByCanonicalKey(c.job.canonical_key) != nullptr ||
-        CacheResult(session, c.job.query, std::move(c.outcome.result),
-                    c.job.view_id).empty()) {
+        CacheResult(session, c.job.query,
+                    std::make_shared<const rel::Relation>(
+                        std::move(c.outcome.result)),
+                    c.job.view_id)
+            .empty()) {
       reg.counter("prefetch.wasted").Increment();
       continue;
     }
@@ -317,16 +320,15 @@ bool Cms::CachingPolicyAdmits(const CaqlQuery& definition) const {
 }
 
 std::string Cms::CacheResult(CmsSession& session, const CaqlQuery& definition,
-                             rel::Relation result,
+                             std::shared_ptr<const rel::Relation> result,
                              const std::string& origin_view) {
   // Result caching is cross-session ("eliminates the cost of recomputing
   // repeated CAQL queries", §5.3): admission is unconditional within the
   // policy; a path expression predicting no recurrence lowers the
   // element's replacement priority instead of blocking admission.
   if (!CachingPolicyAdmits(definition)) return "";
-  auto element = std::make_shared<CacheElement>(
-      cache_.model().NextId(), definition,
-      std::make_shared<rel::Relation>(std::move(result)));
+  auto element = std::make_shared<CacheElement>(cache_.model().NextId(),
+                                                definition, std::move(result));
   element->set_origin_view(origin_view);
 
   // Attribute indexing from consumer annotations (paper §4.2.1): index the
@@ -420,7 +422,9 @@ Result<bool> Cms::MaybeGeneralize(CmsSession& session, const CaqlQuery& query,
   if (verdict != SpeculativeAdmission::kAdmit) return false;
   BRAID_ASSIGN_OR_RETURN(EagerExec exec, ExecuteEager(session, general));
   *response_ms += exec.response_ms;
-  CacheResult(session, general, std::move(exec.result), view_id);
+  CacheResult(session, general,
+              std::make_shared<const rel::Relation>(std::move(exec.result)),
+              view_id);
   ++session.metrics().generalizations;
   return true;
 }
@@ -513,7 +517,9 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
     auto exec = ExecuteEager(session, general);
     if (!exec.ok()) continue;
     session.metrics().prefetch_ms += exec->response_ms;
-    CacheResult(session, general, std::move(exec->result), candidate);
+    CacheResult(session, general,
+                std::make_shared<const rel::Relation>(std::move(exec->result)),
+                candidate);
     ++session.metrics().prefetches;
   }
 }
@@ -728,13 +734,11 @@ Result<CmsAnswer> Cms::Query(CmsSession& session, const CaqlQuery& query) {
     answer.outcome = CacheOutcome::kRemote;
   }
 
-  // Result caching (repeats then take the exact-match fast path).
-  {
-    rel::Relation copy = outcome.result;
-    CacheResult(session, query, std::move(copy), view_id);
-  }
-
-  answer.relation = std::make_shared<rel::Relation>(std::move(outcome.result));
+  // Result caching (repeats then take the exact-match fast path). The
+  // answer and the cache element share the one immutable relation.
+  answer.relation =
+      std::make_shared<const rel::Relation>(std::move(outcome.result));
+  CacheResult(session, query, answer.relation, view_id);
   answer.stream = std::make_unique<stream::ScanStream>(answer.relation);
   answer.response_ms = response_ms;
   metrics.response_ms += response_ms;
@@ -802,13 +806,14 @@ Result<rel::Relation> Cms::QuerySorted(
   if (!answer.lazy) {
     // When the answer lives in the cache (exact hit, or just cached by
     // Query), keep the sorted copy as a co-existing alternative
-    // representation of that element and reuse it next time.
+    // representation of that element, budget permitting, and reuse it
+    // next time.
     CacheElementPtr element =
         cache_.model().ByCanonicalKey(query.CanonicalKey());
     if (element != nullptr && element->is_materialized()) {
       auto rep = element->sorted(cols);
       const bool reused = rep != nullptr;
-      if (!reused) rep = element->EnsureSorted(cols);
+      if (!reused) rep = cache_.EnsureSorted(element, cols);
       if (rep != nullptr) {
         if (!reused) {
           metrics().local_ms += rep->NumTuples() * config_.local_per_tuple_ms;

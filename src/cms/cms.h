@@ -309,11 +309,12 @@ class Cms {
 
   /// Caches `result` as a materialized element defined by `definition`,
   /// subject to the caching policy; builds advised indexes using
-  /// `session`'s consumer annotations. Returns the element id or "" when
-  /// not cached.
+  /// `session`'s consumer annotations. The element shares `result`
+  /// (callers may hand the same relation to the IE). Returns the element
+  /// id or "" when not cached.
   std::string CacheResult(CmsSession& session,
                           const caql::CaqlQuery& definition,
-                          rel::Relation result,
+                          std::shared_ptr<const rel::Relation> result,
                           const std::string& origin_view);
 
   /// Generalization decision + execution (step 1 of §5.3): if advice says

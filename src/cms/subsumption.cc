@@ -23,6 +23,22 @@ bool EvalGroundComparison(const Atom& comp) {
                           comp.args[1].value());
 }
 
+/// Subsumption counters, resolved once per process: every candidate
+/// element of every planned query runs a search.
+struct SubsumptionCounters {
+  obs::Counter* searches;
+  obs::Counter* matches;
+  obs::Counter* truncations;
+};
+
+const SubsumptionCounters& Counters() {
+  static const SubsumptionCounters counters{
+      &obs::MetricsRegistry::Global().counter("subsumption.searches"),
+      &obs::MetricsRegistry::Global().counter("subsumption.matches"),
+      &obs::MetricsRegistry::Global().counter("subsumption.truncations")};
+  return counters;
+}
+
 }  // namespace
 
 bool IntervalImplies(rel::CompareOp known_op, const rel::Value& a,
@@ -140,10 +156,7 @@ class MappingSearch {
     assignment_.assign(element_atoms_.size(), 0);
     used_.assign(query_atoms_.size(), false);
     Extend(0, Substitution());
-    if (truncated_) {
-      obs::MetricsRegistry::Global().counter("subsumption.truncations")
-          .Increment();
-    }
+    if (truncated_) Counters().truncations->Increment();
     // Order results by distinct query atoms covered, descending.
     std::stable_sort(results_.begin(), results_.end(),
                      [](const auto& a, const auto& b) {
@@ -299,7 +312,7 @@ std::vector<SubsumptionMatch> ComputeSubsumptionAll(
     always_needed.insert(negv.begin(), negv.end());
   }
 
-  obs::MetricsRegistry::Global().counter("subsumption.searches").Increment();
+  Counters().searches->Increment();
   std::set<std::string> e_head_vars;
   for (const auto& [var, col] : head_column) e_head_vars.insert(var);
   MappingSearch search(e_atoms, q_atoms, e_head_vars, options.max_mappings);
@@ -427,10 +440,7 @@ std::vector<SubsumptionMatch> ComputeSubsumptionAll(
   std::vector<SubsumptionMatch> all;
   all.reserve(by_covered.size());
   for (auto& [key, match] : by_covered) all.push_back(std::move(match));
-  if (!all.empty()) {
-    obs::MetricsRegistry::Global().counter("subsumption.matches")
-        .Increment(all.size());
-  }
+  if (!all.empty()) Counters().matches->Increment(all.size());
   std::sort(all.begin(), all.end(),
             [](const SubsumptionMatch& a, const SubsumptionMatch& b) {
               if (a.covered.size() != b.covered.size()) {

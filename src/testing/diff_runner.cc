@@ -177,6 +177,25 @@ struct StreamChecker {
     }
   }
 
+  /// The byte-accounting invariant (DESIGN.md §10): the cache model's
+  /// resident and derived byte totals equal a recount over every resident
+  /// element's tuples, indexes and sorted copies.
+  void CheckBytes(size_t index, const char* pass_label) {
+    std::string problem = cms->cache().model().CheckByteAccounting();
+    if (!problem.empty()) {
+      Fail(index, "invariant", "",
+           StrCat(pass_label, ": byte accounting disagrees with recount: ",
+                  problem));
+    }
+  }
+
+  /// Every cache invariant, at a point where no query is in flight.
+  void CheckInvariants(size_t index, const char* pass_label) {
+    CheckCatalog(index, pass_label);
+    CheckAdvice(index, pass_label);
+    CheckBytes(index, pass_label);
+  }
+
   /// Runs one stream pass; `pass_label` distinguishes the first pass from
   /// the warm-cache recheck in failure details.
   void RunPass(const std::vector<size_t>& indices, const char* pass_label) {
@@ -203,8 +222,7 @@ struct StreamChecker {
         }
       }
 
-      CheckCatalog(index, pass_label);
-      CheckAdvice(index, pass_label);
+      CheckInvariants(index, pass_label);
 
       if (opts.corrupt_after_query >= 0 &&
           index == static_cast<size_t>(opts.corrupt_after_query)) {
@@ -241,9 +259,8 @@ struct StreamChecker {
                        index == static_cast<size_t>(opts.corrupt_after_query);
       }
       // Every wave ends with an insert/eviction burst behind it; the
-      // catalog must agree with the stripes at each such point.
-      CheckCatalog(indices[w % n], "sessions");
-      CheckAdvice(indices[w % n], "sessions");
+      // cache invariants must hold at each such point.
+      CheckInvariants(indices[w % n], "sessions");
       // The harness self-test hook, between waves so the poison lands at
       // a quiescent point and later waves must detect it.
       if (corrupt_now) {
@@ -311,15 +328,13 @@ struct StreamChecker {
       }
       CheckAnswer(p.index, "open-loop", got);
     }
-    CheckCatalog(indices[0], "open-loop");
-    CheckAdvice(indices[0], "open-loop");
+    CheckInvariants(indices[0], "open-loop");
 
     for (const auto& [index, s] : refused) {
       CheckAnswer(index, "open-loop-retry",
                   cms->Query(*sessions[s], workload.queries[index]));
     }
-    CheckCatalog(indices[0], "open-loop-retry");
-    CheckAdvice(indices[0], "open-loop-retry");
+    CheckInvariants(indices[0], "open-loop-retry");
 
     for (cms::CmsSession* s : sessions) cms->CloseSession(s);
   }

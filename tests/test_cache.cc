@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "caql/caql_query.h"
 #include "cms/cache_manager.h"
 
@@ -23,6 +26,13 @@ CacheElementPtr MakeElement(const std::string& id, const std::string& def,
   }
   auto e = std::make_shared<CacheElement>(id, q.value(), ext);
   e->set_origin_view(origin);
+  return e;
+}
+
+CacheElementPtr MakeDerived(const std::string& id, const std::string& def,
+                            size_t rows) {
+  CacheElementPtr e = MakeElement(id, def, rows);
+  e->set_derived(true);
   return e;
 }
 
@@ -216,6 +226,149 @@ TEST(CacheManager, EvictionOrderDeterministicUnderAdvisorTies) {
   };
   run();
   run();
+}
+
+// --- Byte accounting: the model's totals against the recount ----------
+
+TEST(CacheByteAccounting, MemoizedSizeMatchesRecount) {
+  auto e = MakeElement("E1", "d(X, Y) :- b(X, Y)", 40);
+  EXPECT_EQ(e->ByteSize(), e->ComputeByteSize());
+  e->EnsureIndex(0);
+  e->EnsureSorted({1});
+  EXPECT_EQ(e->ByteSize(), e->ComputeByteSize());
+  CacheElement generator("G1", ParseCaql("d(X, Y) :- b(X, Y)").value());
+  EXPECT_EQ(generator.ByteSize(), generator.ComputeByteSize());
+}
+
+TEST(CacheByteAccounting, ReRegisteringTheSameIdReplacesItsCharge) {
+  CacheModel model;
+  auto first = MakeElement("E1", "d(X, Y) :- b1(X, Y)", 5);
+  model.Register(first);
+  model.Register(first);  // the same element again: charged once
+  EXPECT_EQ(model.TotalBytes(), first->ByteSize());
+  // Same id, another definition (and possibly another stripe).
+  auto second = MakeElement("E1", "e(X, Y) :- b2(X, Y)", 9);
+  model.Register(second);
+  EXPECT_EQ(model.size(), 1u);
+  EXPECT_EQ(model.TotalBytes(), second->ByteSize());
+  // The replaced element no longer charges the model.
+  first->EnsureIndex(0);
+  EXPECT_EQ(model.TotalBytes(), second->ByteSize());
+  EXPECT_EQ(model.CheckByteAccounting(), "");
+}
+
+TEST(CacheByteAccounting, DisplacingTheSameCanonicalKeyDischarges) {
+  CacheModel model;
+  auto earlier = MakeElement("E1", "d(X, Y) :- b(X, Y)", 5);
+  auto later = MakeElement("E2", "d(P, Q) :- b(P, Q)", 7);
+  model.Register(earlier);
+  model.Register(later);
+  EXPECT_EQ(model.Find("E1"), nullptr);
+  EXPECT_EQ(model.size(), 1u);
+  EXPECT_EQ(model.TotalBytes(), later->ByteSize());
+  EXPECT_EQ(model.CheckByteAccounting(), "");
+}
+
+TEST(CacheByteAccounting, DerivedAndPlainTotalsThroughMakeRoomDerived) {
+  auto probe = MakeElement("P", "d(X, Y) :- b(X, Y)", 10);
+  // Room for four elements, two of them in the derived slice.
+  CacheManager mgr(probe->ByteSize() * 4 + 64, 4, 0.5);
+  auto plain = MakeElement("E1", "d1(X, Y) :- b1(X, Y)", 10);
+  ASSERT_TRUE(mgr.Insert(plain));
+  std::vector<CacheElementPtr> derived;
+  for (int i = 2; i <= 4; ++i) {
+    const std::string n = std::to_string(i);
+    derived.push_back(
+        MakeDerived("E" + n, "d" + n + "(X, Y) :- b" + n + "(X, Y)", 10));
+    ASSERT_TRUE(mgr.InsertIntermediate(derived.back()));
+    mgr.Tick();
+  }
+  // The third derived element pushed the least recently used one out.
+  EXPECT_EQ(mgr.stats().intermediates_evicted, 1u);
+  EXPECT_EQ(mgr.model().Find("E2"), nullptr);
+  const size_t derived_bytes = derived[1]->ByteSize() + derived[2]->ByteSize();
+  EXPECT_EQ(mgr.DerivedBytes(), derived_bytes);
+  EXPECT_EQ(mgr.model().TotalBytes(), plain->ByteSize() + derived_bytes);
+  EXPECT_EQ(mgr.model().CheckByteAccounting(), "");
+}
+
+TEST(CacheByteAccounting, GrowthThenEvictionRestoresBothTotals) {
+  CacheManager mgr(1 << 20, 4);
+  ASSERT_TRUE(mgr.Insert(MakeElement("E1", "d1(X, Y) :- b1(X, Y)", 10)));
+  ASSERT_TRUE(mgr.InsertIntermediate(MakeDerived("E2", "d2(X, Y) :- b2(X, Y)", 10)));
+  const size_t total_before = mgr.model().TotalBytes();
+  const size_t derived_before = mgr.DerivedBytes();
+
+  auto e = MakeDerived("E3", "d3(X, Y) :- b3(X, Y)", 30);
+  const size_t installed = e->ByteSize();
+  ASSERT_TRUE(mgr.InsertIntermediate(e));
+  EXPECT_EQ(mgr.model().TotalBytes(), total_before + installed);
+  EXPECT_EQ(mgr.DerivedBytes(), derived_before + installed);
+
+  // Representations built after install count against the budget.
+  e->EnsureIndex(0);
+  ASSERT_NE(mgr.EnsureSorted(e, {1}), nullptr);
+  EXPECT_EQ(e->NumSortedRepresentations(), 1u);
+  const size_t grown = e->ByteSize();
+  EXPECT_GT(grown, installed);
+  EXPECT_EQ(mgr.model().TotalBytes(), total_before + grown);
+  EXPECT_EQ(mgr.DerivedBytes(), derived_before + grown);
+  EXPECT_EQ(mgr.model().CheckByteAccounting(), "");
+
+  // Evicting the element frees everything it was charged.
+  EXPECT_EQ(mgr.model().Remove("E3"), grown);
+  EXPECT_EQ(mgr.model().TotalBytes(), total_before);
+  EXPECT_EQ(mgr.DerivedBytes(), derived_before);
+  EXPECT_EQ(mgr.model().CheckByteAccounting(), "");
+}
+
+TEST(CacheByteAccounting, SortedCopyMakesRoomButNeverEvictsItsElement) {
+  auto probe = MakeElement("P", "d(X, Y) :- b(X, Y)", 10);
+  CacheManager mgr(probe->ByteSize() * 2 + 64, 4);
+  auto other = MakeElement("E1", "d1(X, Y) :- b1(X, Y)", 10);
+  auto e = MakeElement("E2", "d2(X, Y) :- b2(X, Y)", 10);
+  ASSERT_TRUE(mgr.Insert(other));
+  ASSERT_TRUE(mgr.Insert(e));
+  // The copy fits once E1 is evicted.
+  ASSERT_NE(mgr.EnsureSorted(e, {1}), nullptr);
+  EXPECT_EQ(mgr.model().Find("E1"), nullptr);
+  EXPECT_NE(mgr.model().Find("E2"), nullptr);
+  EXPECT_EQ(e->NumSortedRepresentations(), 1u);
+  EXPECT_LE(mgr.model().TotalBytes(), mgr.budget_bytes());
+  // A second ordering cannot fit beside the first: served, not kept.
+  auto by_x = mgr.EnsureSorted(e, {0});
+  ASSERT_NE(by_x, nullptr);
+  EXPECT_EQ(by_x->NumTuples(), 10u);
+  EXPECT_EQ(e->NumSortedRepresentations(), 1u);
+  EXPECT_LE(mgr.model().TotalBytes(), mgr.budget_bytes());
+  EXPECT_EQ(mgr.model().CheckByteAccounting(), "");
+}
+
+TEST(CacheByteAccounting, ConcurrentInsertEvictSortKeepsTotalsExact) {
+  auto probe = MakeElement("P", "d(X, Y) :- b(X, Y)", 16);
+  CacheManager mgr(probe->ByteSize() * 6, 4);
+  constexpr int kThreads = 4;
+  constexpr int kOps = 150;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&mgr, t] {
+      for (int i = 0; i < kOps; ++i) {
+        // Names repeat, so installs also displace same-key elements.
+        const std::string n = std::to_string(t) + "_" + std::to_string(i % 7);
+        auto e = MakeElement(mgr.model().NextId(),
+                             "d" + n + "(X, Y) :- b" + n + "(X, Y)", 16);
+        if (i % 3 == 0) e->EnsureIndex(0);  // built before install
+        if (i % 4 == 0) e->set_derived(true);
+        mgr.Insert(e);
+        mgr.EnsureSorted(e, {static_cast<size_t>(i % 2)});
+        if (i % 5 == 0) mgr.model().Remove(e->id());
+        mgr.Tick();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mgr.model().CheckByteAccounting(), "");
+  EXPECT_LE(mgr.model().TotalBytes(), mgr.budget_bytes());
 }
 
 }  // namespace

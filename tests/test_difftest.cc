@@ -296,6 +296,24 @@ TEST(DifftestSmoke, Shard1) { SmokeShard(4, 8); }
 TEST(DifftestSmoke, Shard2) { SmokeShard(8, 12); }
 TEST(DifftestSmoke, Shard3) { SmokeShard(12, 16); }
 
+// The default budget never evicts on these workloads (every seed of the
+// smoke range reports 0 evictions), so this cell shrinks it: installs then
+// evict, derived stages included, and the byte-accounting invariant is
+// checked after every query across evictions.
+TEST(DifftestSmoke, SmallBudgetEvictsWithInvariantsIntact) {
+  size_t evictions = 0;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    DiffOptions opts;
+    opts.seed = seed;
+    opts.cache_budget_bytes = 4096;
+    DiffReport report = RunDifferential(opts);
+    EXPECT_TRUE(report.ok) << report.Summary() << "\nrepro: "
+                           << ReproCommand(opts);
+    evictions += report.evictions;
+  }
+  EXPECT_GT(evictions, 0u);
+}
+
 // --- Multi-session mode -----------------------------------------------
 
 TEST(DifftestSessions, InterleavedSessionsMatchTheOracle) {

@@ -106,6 +106,66 @@ TEST(QuerySorted, ReusesRepresentationOnExactRepeat) {
   EXPECT_EQ(element->NumSortedRepresentations(), 1u);
 }
 
+/// `rows` rows of two ints: 32 bytes a row, 6464 bytes for 200.
+dbms::Database WideDb(int rows) {
+  dbms::Database db;
+  rel::Relation b1("b1", rel::Schema::FromNames({"a", "b"}));
+  for (int i = 0; i < rows; ++i) {
+    b1.AppendUnchecked({Value::Int(i), Value::Int(rows - i)});
+  }
+  BRAID_CHECK_OK(db.AddTable(std::move(b1)));
+  return db;
+}
+
+void ExpectSortedOnSecondColumn(const rel::Relation& r) {
+  for (size_t i = 1; i < r.NumTuples(); ++i) {
+    EXPECT_LE(r.tuple(i - 1)[1], r.tuple(i)[1]);
+  }
+}
+
+// Regression: the sorted copy used to be kept on the resident element with
+// no budget check. A 200-row answer (6592 bytes cached) plus its sorted
+// copy (6464) left a 10 000-byte cache at 13 056 bytes with no insert in
+// flight.
+TEST(QuerySorted, SortedCopyThatDoesNotFitIsServedNotKept) {
+  dbms::RemoteDbms remote(WideDb(200));
+  CmsConfig config;
+  config.cache_budget_bytes = 10000;
+  Cms cms(&remote, config);
+  auto q = ParseCaql("q(X, Y) :- b1(X, Y)").value();
+  auto sorted = cms.QuerySorted(q, {"Y"});
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  ASSERT_EQ(sorted->NumTuples(), 200u);
+  ExpectSortedOnSecondColumn(*sorted);
+  EXPECT_LE(cms.cache().model().TotalBytes(), 10000u);
+  CacheElementPtr element =
+      cms.cache().model().ByCanonicalKey(q.CanonicalKey());
+  ASSERT_NE(element, nullptr);  // the answer itself stays cached
+  EXPECT_EQ(element->NumSortedRepresentations(), 0u);
+  EXPECT_EQ(cms.cache().model().CheckByteAccounting(), "");
+}
+
+TEST(QuerySorted, MakesRoomForTheSortedCopyByEvictingOthers) {
+  dbms::RemoteDbms remote(WideDb(200));
+  CmsConfig config;
+  config.cache_budget_bytes = 16000;
+  Cms cms(&remote, config);
+  auto other = ParseCaql("p(X) :- b1(X, Y)").value();  // 4992 bytes cached
+  ASSERT_TRUE(cms.Query(other).ok());
+  auto q = ParseCaql("q(X, Y) :- b1(X, Y)").value();
+  auto sorted = cms.QuerySorted(q, {"Y"});
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  ExpectSortedOnSecondColumn(*sorted);
+  EXPECT_EQ(cms.cache().model().ByCanonicalKey(other.CanonicalKey()),
+            nullptr);
+  CacheElementPtr element =
+      cms.cache().model().ByCanonicalKey(q.CanonicalKey());
+  ASSERT_NE(element, nullptr);
+  EXPECT_EQ(element->NumSortedRepresentations(), 1u);
+  EXPECT_LE(cms.cache().model().TotalBytes(), 16000u);
+  EXPECT_EQ(cms.cache().model().CheckByteAccounting(), "");
+}
+
 TEST(QuerySorted, RejectsNonHeadVariable) {
   dbms::RemoteDbms remote(TestDb());
   Cms cms(&remote, CmsConfig{});
