@@ -2,7 +2,9 @@
 // the architecture leans on: unification, the subsumption test, hash
 // joins, canonical-key computation, and path-tracker advances. Also the
 // morsel-parallel operator variants (exec::) at several worker counts,
-// with threads=0 rows running the serial rel:: baseline.
+// with threads=0 rows running the serial rel:: baseline, and two warm
+// end-to-end paths: one exact-hit CMS query, and one IE Ask answered
+// entirely from the cache.
 //
 // Results are written to BENCH_micro.json by default; pass `--json <path>`
 // (or any --benchmark_out=... flag) to override.
@@ -16,14 +18,18 @@
 
 #include "advice/path_tracker.h"
 #include "caql/caql_query.h"
+#include "cms/cms.h"
 #include "cms/query_processor.h"
 #include "cms/subsumption.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "exec/parallel_ops.h"
 #include "exec/thread_pool.h"
+#include "ie/inference_engine.h"
 #include "logic/parser.h"
 #include "logic/unify.h"
 #include "relational/operators.h"
+#include "workload/generators.h"
 
 namespace braid {
 namespace {
@@ -222,6 +228,90 @@ void BM_PathTrackerAdvance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PathTrackerAdvance);
+
+/// Span records accumulate in the CMS tracer on every query; clearing it
+/// outside the timed region every this many iterations keeps the warm
+/// benchmarks' memory flat.
+constexpr int64_t kTracerClearEvery = 4096;
+
+void BM_ExactHit(benchmark::State& state) {
+  constexpr int64_t kElements = 2000;
+  dbms::Database db;
+  rel::Relation b("b", rel::Schema::FromNames({"k", "v"}));
+  for (int64_t i = 0; i < kElements; ++i) {
+    b.AppendUnchecked({rel::Value::Int(i), rel::Value::Int(i * 7)});
+  }
+  BRAID_CHECK_OK(db.AddTable(std::move(b)));
+  dbms::RemoteDbms remote(std::move(db));
+  cms::CmsConfig config;
+  config.enable_parallel = false;
+  cms::Cms cms(&remote, config);
+  std::vector<caql::CaqlQuery> queries;
+  for (int64_t i = 0; i < kElements; ++i) {
+    queries.push_back(
+        caql::ParseCaql(StrCat("q(Y) :- b(", i, ", Y)")).value());
+    BRAID_CHECK_OK(cms.Query(queries.back()).status());
+  }
+  cms.tracer().Clear();
+  int64_t i = 0;
+  for (auto _ : state) {
+    auto answer = cms.Query(queries[static_cast<size_t>(i % kElements)]);
+    benchmark::DoNotOptimize(answer);
+    if (++i % kTracerClearEvery == 0) {
+      state.PauseTiming();
+      cms.tracer().Clear();
+      state.ResumeTiming();
+    }
+  }
+  if (cms.metrics().exact_hits < static_cast<size_t>(i)) {
+    state.SkipWithError("a timed query missed the cache");
+  }
+}
+BENCHMARK(BM_ExactHit);
+
+void BM_WarmAsk(benchmark::State& state) {
+  workload::GenealogyParams params;
+  params.people = 250;
+  dbms::RemoteDbms remote(workload::MakeGenealogyDatabase(params));
+  logic::KnowledgeBase kb;
+  BRAID_CHECK_OK(logic::ParseProgram(workload::GenealogyKb(), &kb));
+  cms::CmsConfig config;
+  config.enable_parallel = false;
+  cms::Cms cms(&remote, config);
+  ie::InferenceEngine engine(&kb, &cms);
+  std::vector<logic::Atom> goals;
+  for (const char* rule : {"ancestor", "grandparent", "sibling", "greatgrand"}) {
+    for (int person = 0; person < 250; person += 10) {
+      goals.push_back(
+          logic::ParseQueryAtom(StrCat(rule, "(", person, ", Y)")).value());
+    }
+  }
+  // Whole passes until one installs nothing: from then on every Ask is
+  // answered from the cache without a write.
+  for (int pass = 0; pass < 4; ++pass) {
+    const size_t before = cms.cache().stats().insertions.load();
+    for (const logic::Atom& goal : goals) {
+      BRAID_CHECK_OK(engine.Ask(goal).status());
+    }
+    if (cms.cache().stats().insertions.load() == before) break;
+  }
+  cms.tracer().Clear();
+  const size_t inserts = cms.cache().stats().insertions.load();
+  int64_t i = 0;
+  for (auto _ : state) {
+    auto outcome = engine.Ask(goals[static_cast<size_t>(i) % goals.size()]);
+    benchmark::DoNotOptimize(outcome);
+    if (++i % kTracerClearEvery == 0) {
+      state.PauseTiming();
+      cms.tracer().Clear();
+      state.ResumeTiming();
+    }
+  }
+  if (cms.cache().stats().insertions.load() != inserts) {
+    state.SkipWithError("a timed Ask wrote to the cache");
+  }
+}
+BENCHMARK(BM_WarmAsk);
 
 }  // namespace
 }  // namespace braid

@@ -78,7 +78,7 @@ k2(X, Y) :- b3(X, c3, Z), b1(Z, Y).
   }
 
   std::cout << "advice the IE sent the CMS at session start:\n"
-            << outcome->advice.ToString() << "\n";
+            << outcome->advice().ToString() << "\n";
 
   std::cout << "session statistics:\n  CMS: "
             << braid.cms().metrics().ToString() << "\n  remote DBMS: "

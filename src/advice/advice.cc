@@ -20,4 +20,30 @@ std::string AdviceSet::ToString() const {
   return os.str();
 }
 
+CompiledAdvice::CompiledAdvice(AdviceSet advice) : advice_(std::move(advice)) {
+  views_.reserve(advice_.view_specs.size());
+  for (const ViewSpec& v : advice_.view_specs) {
+    CompiledView& compiled = views_.emplace_back();
+    compiled.spec = &v;
+    compiled.general = v.AsCaql();
+    compiled.key = compiled.general.Key();
+  }
+  if (advice_.path_expression != nullptr) {
+    automaton_ = std::make_shared<const PathAutomaton>(*advice_.path_expression);
+  }
+}
+
+const std::shared_ptr<const CompiledAdvice>& CompiledAdvice::Empty() {
+  static const std::shared_ptr<const CompiledAdvice> empty =
+      Compile(AdviceSet{});
+  return empty;
+}
+
+const CompiledView* CompiledAdvice::FindView(const std::string& id) const {
+  for (const CompiledView& v : views_) {
+    if (v.spec->id == id) return &v;
+  }
+  return nullptr;
+}
+
 }  // namespace braid::advice

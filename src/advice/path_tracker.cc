@@ -25,34 +25,31 @@ const TrackerCounters& Counters() {
 
 }  // namespace
 
-PathTracker::PathTracker(PathExprPtr expr) {
-  Fragment f = Build(*expr);
+PathAutomaton::PathAutomaton(const PathExpr& expr) {
+  Fragment f = Build(expr);
+  start_state_ = f.start;
   accept_state_ = f.accept;
-  const size_t states = eps_.size();
-  current_.reserve(states);
-  state_dist_.resize(states);
-  distance_.resize(symbol_names_.size());
-  // Every state enters the BFS queue at most once, and the symbol edges
-  // into distinct fresh accept states seed it, so #states always suffices.
-  queue_.reserve(states);
-  queue_.push_back(f.start);
-  Settle();
 }
 
-int PathTracker::NewState() {
+int PathAutomaton::NewState() {
   eps_.emplace_back();
   sym_.emplace_back();
   return static_cast<int>(eps_.size()) - 1;
 }
 
-int PathTracker::SymbolId(const std::string& view_id) {
+int PathAutomaton::SymbolId(const std::string& view_id) {
   auto [it, inserted] =
       symbol_ids_.emplace(view_id, static_cast<int>(symbol_names_.size()));
   if (inserted) symbol_names_.push_back(view_id);
   return it->second;
 }
 
-PathTracker::Fragment PathTracker::Build(const PathExpr& expr) {
+int PathAutomaton::SymbolOf(const std::string& view_id) const {
+  auto it = symbol_ids_.find(view_id);
+  return it == symbol_ids_.end() ? -1 : it->second;
+}
+
+PathAutomaton::Fragment PathAutomaton::Build(const PathExpr& expr) {
   switch (expr.kind()) {
     case PathExpr::Kind::kQueryPattern: {
       int s = NewState();
@@ -103,6 +100,22 @@ PathTracker::Fragment PathTracker::Build(const PathExpr& expr) {
   return {s, s};
 }
 
+PathTracker::PathTracker(std::shared_ptr<const PathAutomaton> automaton)
+    : automaton_(std::move(automaton)) {
+  const size_t states = automaton_->num_states();
+  current_.reserve(states);
+  state_dist_.resize(states);
+  distance_.resize(automaton_->num_symbols());
+  // Every state enters the BFS queue at most once, and the symbol edges
+  // into distinct fresh accept states seed it, so #states always suffices.
+  queue_.reserve(states);
+  queue_.push_back(automaton_->start_state());
+  Settle();
+}
+
+PathTracker::PathTracker(const PathExprPtr& expr)
+    : PathTracker(std::make_shared<const PathAutomaton>(*expr)) {}
+
 void PathTracker::Settle() {
   std::fill(state_dist_.begin(), state_dist_.end(), kUnreachable);
   std::fill(distance_.begin(), distance_.end(), kUnreachable);
@@ -122,7 +135,7 @@ void PathTracker::Settle() {
   size_t begin = 0;
   for (size_t d = 0; begin < queue_.size(); ++d) {
     for (size_t i = begin; i < queue_.size(); ++i) {
-      for (int next : eps_[queue_[i]]) {
+      for (int next : automaton_->eps(queue_[i])) {
         if (state_dist_[next] == kUnreachable) {
           state_dist_[next] = d;
           queue_.push_back(next);
@@ -132,7 +145,7 @@ void PathTracker::Settle() {
     const size_t end = queue_.size();
     if (d == 0) current_.assign(queue_.begin(), queue_.end());
     for (size_t i = begin; i < end; ++i) {
-      for (const auto& [sym, to] : sym_[queue_[i]]) {
+      for (const auto& [sym, to] : automaton_->sym(queue_[i])) {
         if (distance_[sym] == kUnreachable) distance_[sym] = d;
         if (state_dist_[to] == kUnreachable) {
           state_dist_[to] = d + 1;
@@ -148,16 +161,15 @@ bool PathTracker::Advance(const std::string& view_id) {
   ++advances_;
   const TrackerCounters& counters = Counters();
   counters.advances->Increment();
-  auto it = symbol_ids_.find(view_id);
-  if (it == symbol_ids_.end()) {
+  const int symbol = automaton_->SymbolOf(view_id);
+  if (symbol < 0) {
     ++mispredictions_;
     counters.mispredictions->Increment();
     return false;
   }
-  const int symbol = it->second;
   queue_.clear();
   for (int st : current_) {
-    for (const auto& [sym, to] : sym_[st]) {
+    for (const auto& [sym, to] : automaton_->sym(st)) {
       if (sym == symbol) queue_.push_back(to);
     }
   }
@@ -177,23 +189,21 @@ std::set<std::string> PathTracker::PredictNext() const {
 
 std::optional<size_t> PathTracker::MinDistanceTo(
     const std::string& view_id) const {
-  auto it = symbol_ids_.find(view_id);
-  if (it == symbol_ids_.end() || distance_[it->second] == kUnreachable) {
-    return std::nullopt;
-  }
-  return distance_[it->second];
+  const int symbol = automaton_->SymbolOf(view_id);
+  if (symbol < 0 || distance_[symbol] == kUnreachable) return std::nullopt;
+  return distance_[symbol];
 }
 
 std::set<std::string> PathTracker::PossibleWithin(size_t horizon) const {
   std::set<std::string> out;
-  for (size_t s = 0; s < symbol_names_.size(); ++s) {
-    if (distance_[s] < horizon) out.insert(symbol_names_[s]);
+  for (size_t s = 0; s < distance_.size(); ++s) {
+    if (distance_[s] < horizon) out.insert(automaton_->symbol_name(s));
   }
   return out;
 }
 
 bool PathTracker::MayBeFinished() const {
-  return state_dist_[accept_state_] == 0;
+  return state_dist_[automaton_->accept_state()] == 0;
 }
 
 }  // namespace braid::advice

@@ -1,6 +1,6 @@
 #include "caql/caql_query.h"
 
-#include <map>
+#include <functional>
 #include <sstream>
 
 #include "common/strings.h"
@@ -107,33 +107,49 @@ CaqlQuery CaqlQuery::Substitute(const logic::Substitution& subst) const {
   return out;
 }
 
+QueryKey QueryKey::Of(std::string text) {
+  QueryKey key;
+  key.hash = std::hash<std::string>{}(text);
+  key.text = std::move(text);
+  return key;
+}
+
 std::string CaqlQuery::CanonicalKey() const {
-  std::map<std::string, std::string> renaming;
-  auto canon = [&renaming](const logic::Term& t) -> std::string {
-    if (!t.is_variable()) return t.ToString();
-    auto [it, inserted] =
-        renaming.emplace(t.var_name(), StrCat("V", renaming.size()));
-    (void)inserted;
-    return it->second;
-  };
-  std::ostringstream os;
-  os << name << (distinct ? "!(" : "(");
-  for (size_t i = 0; i < head_args.size(); ++i) {
-    if (i > 0) os << ",";
-    os << canon(head_args[i]);
-  }
-  os << "):-";
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (i > 0) os << "&";
-    if (body[i].negated) os << "!";
-    os << body[i].predicate << "(";
-    for (size_t j = 0; j < body[i].args.size(); ++j) {
-      if (j > 0) os << ",";
-      os << canon(body[i].args[j]);
+  // Variables are renamed V0, V1, ... by first occurrence; queries hold a
+  // handful of distinct variables, so a linear scan beats a map.
+  std::vector<const std::string*> renamed;
+  std::string out;
+  out.reserve(64);
+  auto canon = [&renamed, &out](const logic::Term& t) {
+    if (!t.is_variable()) {
+      out += t.ToString();
+      return;
     }
-    os << ")";
+    size_t i = 0;
+    while (i < renamed.size() && *renamed[i] != t.var_name()) ++i;
+    if (i == renamed.size()) renamed.push_back(&t.var_name());
+    out += 'V';
+    out += std::to_string(i);
+  };
+  out += name;
+  out += distinct ? "!(" : "(";
+  for (size_t i = 0; i < head_args.size(); ++i) {
+    if (i > 0) out += ',';
+    canon(head_args[i]);
   }
-  return os.str();
+  out += "):-";
+  for (size_t i = 0; i < body.size(); ++i) {
+    if (i > 0) out += '&';
+    if (body[i].negated) out += '!';
+    out += body[i].predicate;
+    out += '(';
+    for (size_t j = 0; j < body[i].args.size(); ++j) {
+      if (j > 0) out += ',';
+      canon(body[i].args[j]);
+    }
+    out += ')';
+  }
+  return out;
 }
 
 std::string CaqlQuery::ToString() const {

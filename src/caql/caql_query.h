@@ -1,6 +1,7 @@
 #ifndef BRAID_CAQL_CAQL_QUERY_H_
 #define BRAID_CAQL_CAQL_QUERY_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,6 +24,27 @@ bool IsEvaluablePredicate(const std::string& name, size_t arity);
 /// cached view): not negated, not a comparison, not an evaluable function.
 /// These are the atoms CaqlQuery::RelationAtoms returns.
 bool IsRelationAtom(const logic::Atom& atom);
+
+/// A canonical key (CaqlQuery::CanonicalKey) together with its 64-bit
+/// hash, computed once and carried wherever the key is probed: the cache's
+/// exact-match index is keyed by the hash, and two keys are equal only when
+/// their texts are.
+struct QueryKey {
+  std::string text;
+  uint64_t hash = 0;
+
+  /// `text` with its hash.
+  static QueryKey Of(std::string text);
+
+  bool operator==(const QueryKey& other) const {
+    return hash == other.hash && text == other.text;
+  }
+};
+
+/// Hashes a QueryKey by its precomputed hash, for unordered containers.
+struct QueryKeyHash {
+  size_t operator()(const QueryKey& key) const { return key.hash; }
+};
 
 /// A CAQL query: a conjunctive (PSJ-class) expression with a distinguished
 /// head. This is the language of the IE ↔ CMS interface (paper §3, §5).
@@ -73,6 +95,9 @@ struct CaqlQuery {
   /// occurrence. Two queries with the same canonical key are identical up
   /// to variable renaming — the exact-match fast path of result caching.
   std::string CanonicalKey() const;
+
+  /// CanonicalKey() with its hash.
+  QueryKey Key() const { return QueryKey::Of(CanonicalKey()); }
 
   /// Renders "d2(X, c6) :- b2(X, Z) & b3(Z, c2, c6)".
   std::string ToString() const;

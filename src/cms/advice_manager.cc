@@ -6,50 +6,48 @@
 
 namespace braid::cms {
 
-void AdviceManager::BeginSession(advice::AdviceSet advice) {
+void AdviceManager::BeginSession(advice::CompiledAdvicePtr advice) {
   advice_ = std::move(advice);
   has_advice_ = true;
   queries_seen_ = 0;
   tracker_.reset();
-  if (advice_.path_expression != nullptr) {
-    tracker_ = std::make_unique<advice::PathTracker>(advice_.path_expression);
-  }
+  if (advice_->automaton() != nullptr) tracker_.emplace(advice_->automaton());
 }
 
 void AdviceManager::OnQuery(const std::string& view_id) {
   ++queries_seen_;
-  if (tracker_ != nullptr && !view_id.empty()) {
+  if (tracker_.has_value() && !view_id.empty()) {
     tracker_->Advance(view_id);
   }
 }
 
 std::set<std::string> AdviceManager::PrefetchCandidates() const {
-  if (tracker_ == nullptr) return {};
+  if (!tracker_.has_value()) return {};
   return tracker_->PredictNext();
 }
 
 bool AdviceManager::ShouldCacheResult(const std::string& view_id) const {
-  if (tracker_ == nullptr || view_id.empty()) return true;
+  if (!tracker_.has_value() || view_id.empty()) return true;
   // Cache unless the tracker proves the view cannot appear again.
   return tracker_->MinDistanceTo(view_id).has_value();
 }
 
 std::vector<std::string> AdviceManager::IndexHints(
     const std::string& view_id) const {
-  const advice::ViewSpec* view = FindView(view_id);
+  const advice::CompiledView* view = FindView(view_id);
   if (view == nullptr) return {};
-  return view->ConsumerVariables();
+  return view->spec->ConsumerVariables();
 }
 
 bool AdviceManager::LazyHint(const std::string& view_id) const {
-  const advice::ViewSpec* view = FindView(view_id);
+  const advice::CompiledView* view = FindView(view_id);
   if (view == nullptr) return false;
-  return view->AllProducers();
+  return view->spec->AllProducers();
 }
 
 std::optional<size_t> AdviceManager::PredictedDistance(
     const std::string& view_id) const {
-  if (tracker_ == nullptr || view_id.empty()) return std::nullopt;
+  if (!tracker_.has_value() || view_id.empty()) return std::nullopt;
   return tracker_->MinDistanceTo(view_id);
 }
 
@@ -58,7 +56,7 @@ bool AdviceManager::ShouldGeneralize(const std::string& view_id,
   if (!has_advice_) return false;
   // Trigger 1: the view may recur — the general form will answer the later
   // instances with different constants.
-  if (tracker_ != nullptr && !view_id.empty() &&
+  if (tracker_.has_value() && !view_id.empty() &&
       tracker_->MinDistanceTo(view_id).has_value()) {
     return true;
   }
@@ -70,7 +68,7 @@ bool AdviceManager::ShouldGeneralize(const std::string& view_id,
       // Only atoms mixing constants and variables benefit.
       if (q_atom.Variables().size() == q_atom.arity()) continue;
     }
-    for (const advice::ViewSpec& other : advice_.view_specs) {
+    for (const advice::ViewSpec& other : advice().view_specs) {
       if (other.id == view_id) continue;
       for (const logic::Atom& o_atom : other.body) {
         if (o_atom.predicate != q_atom.predicate ||
@@ -94,14 +92,14 @@ bool AdviceManager::ShouldGeneralize(const std::string& view_id,
 
 bool AdviceManager::SessionRelevant(const std::string& predicate) const {
   if (!has_advice_) return false;
-  for (const std::string& b : advice_.base_relations) {
+  for (const std::string& b : advice().base_relations) {
     if (b == predicate) return true;
   }
   return false;
 }
 
 size_t AdviceManager::tracker_mispredictions() const {
-  return tracker_ == nullptr ? 0 : tracker_->mispredictions();
+  return !tracker_.has_value() ? 0 : tracker_->mispredictions();
 }
 
 uint32_t ReplacementAdviceIndex::Names::Intern(const std::string& name) {

@@ -28,11 +28,12 @@ class AdviceManager {
  public:
   AdviceManager() = default;
 
-  /// Installs the advice for a new session, resetting the tracker.
-  void BeginSession(advice::AdviceSet advice);
+  /// Installs the advice for a new session, resetting the tracker. The
+  /// advice is shared, not copied: only the tracker's position is built.
+  void BeginSession(advice::CompiledAdvicePtr advice);
 
   bool has_advice() const { return has_advice_; }
-  const advice::AdviceSet& advice() const { return advice_; }
+  const advice::AdviceSet& advice() const { return advice_->advice(); }
 
   /// Records the arrival of an IE query against `view_id`, advancing the
   /// path tracker.
@@ -74,20 +75,22 @@ class AdviceManager {
   bool ShouldGeneralize(const std::string& view_id,
                         const caql::CaqlQuery& instance) const;
 
-  const advice::ViewSpec* FindView(const std::string& id) const {
-    return advice_.FindView(id);
+  const advice::CompiledView* FindView(const std::string& id) const {
+    return advice_->FindView(id);
   }
 
   size_t queries_seen() const { return queries_seen_; }
   size_t tracker_mispredictions() const;
 
   /// The path tracker, or null without a path expression.
-  const advice::PathTracker* tracker() const { return tracker_.get(); }
+  const advice::PathTracker* tracker() const {
+    return tracker_.has_value() ? &*tracker_ : nullptr;
+  }
 
  private:
-  advice::AdviceSet advice_;
+  advice::CompiledAdvicePtr advice_ = advice::CompiledAdvice::Empty();
   bool has_advice_ = false;
-  std::unique_ptr<advice::PathTracker> tracker_;
+  std::optional<advice::PathTracker> tracker_;
   size_t queries_seen_ = 0;
 };
 

@@ -28,16 +28,22 @@ void CacheByteTotals::Discharge(bool is_derived, size_t bytes) {
 }
 
 CacheElement::CacheElement(std::string id, caql::CaqlQuery definition,
-                           std::shared_ptr<const rel::Relation> extension)
+                           std::shared_ptr<const rel::Relation> extension,
+                           caql::QueryKey key)
     : id_(std::move(id)),
       definition_(std::move(definition)),
+      key_(std::move(key)),
       extension_(std::move(extension)),
       bytes_(kElementOverheadBytes +
-             (extension_ != nullptr ? extension_->ByteSize() : 0)) {}
+             (extension_ != nullptr ? extension_->ByteSize() : 0)) {
+  // A canonical key is never empty text, so empty means "not supplied".
+  if (key_.text.empty()) key_ = definition_.Key();
+}
 
 CacheElement::CacheElement(std::string id, caql::CaqlQuery definition)
     : id_(std::move(id)),
       definition_(std::move(definition)),
+      key_(definition_.Key()),
       bytes_(kElementOverheadBytes) {}
 
 void CacheElement::Grow(size_t bytes) {

@@ -60,22 +60,27 @@ struct CacheElementStats {
 /// Elements may carry hash indexes over extension columns ("attribute
 /// indexing", built when advice marks the column's variable as a consumer).
 ///
-/// Thread safety: id, definition, extension, and origin view are immutable
+/// Thread safety: id, definition, key, extension, and origin view are immutable
 /// after the element is installed in the cache model, so readers touch
 /// them without synchronization. The co-existing representations (indexes
 /// and sorted copies), the memoized byte size and the totals the element
 /// charges are guarded by a per-element mutex; stats fields are atomics.
 class CacheElement {
  public:
-  /// Materialized element.
+  /// Materialized element. `key` is the definition's key when the caller
+  /// already holds it; left empty, the element computes it.
   CacheElement(std::string id, caql::CaqlQuery definition,
-               std::shared_ptr<const rel::Relation> extension);
+               std::shared_ptr<const rel::Relation> extension,
+               caql::QueryKey key = {});
 
   /// Generator-form element (definition only).
   CacheElement(std::string id, caql::CaqlQuery definition);
 
   const std::string& id() const { return id_; }
   const caql::CaqlQuery& definition() const { return definition_; }
+  /// definition().Key(), computed once: the cache model indexes, displaces
+  /// and removes the element by it.
+  const caql::QueryKey& key() const { return key_; }
 
   bool is_materialized() const { return extension_ != nullptr; }
   const std::shared_ptr<const rel::Relation>& extension() const {
@@ -151,6 +156,7 @@ class CacheElement {
 
   std::string id_;
   caql::CaqlQuery definition_;
+  caql::QueryKey key_;
   std::shared_ptr<const rel::Relation> extension_;  // null => generator form
   std::string origin_view_;
   bool derived_ = false;

@@ -80,11 +80,9 @@ std::shared_ptr<const rel::Relation> CacheManager::EnsureSorted(
   return rep;
 }
 
-void CacheManager::Touch(const std::string& id) {
-  CacheElementPtr e = model_.Find(id);
-  if (e == nullptr) return;
-  e->stats().last_used_seq.store(clock(), std::memory_order_relaxed);
-  e->stats().hits.fetch_add(1, std::memory_order_relaxed);
+void CacheManager::Touch(CacheElement& element) {
+  element.stats().last_used_seq.store(clock(), std::memory_order_relaxed);
+  element.stats().hits.fetch_add(1, std::memory_order_relaxed);
   touches_->Increment();
 }
 

@@ -99,8 +99,11 @@ class CacheManager {
   /// post-install re-check evicts back under it before returning.
   bool Insert(CacheElementPtr element);
 
-  /// Marks a use of the element for LRU purposes.
-  void Touch(const std::string& id);
+  /// Marks a use of `element` for LRU purposes: the caller passes the
+  /// element its probe or plan returned, so no second lookup finds it
+  /// again. Touching an element evicted meanwhile only updates that
+  /// element's own stats.
+  void Touch(CacheElement& element);
 
   /// Cost-based admission for a derived intermediate of `bytes` footprint
   /// and `tuples` rows that took `recompute_ms` (modeled) to produce.

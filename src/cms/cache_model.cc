@@ -1,7 +1,6 @@
 #include "cms/cache_model.h"
 
 #include <chrono>
-#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -37,17 +36,13 @@ CacheModel::StripeLock::StripeLock(const CacheModel* model, const Stripe& s)
 
 CacheModel::StripeLock::~StripeLock() { mu_->Unlock(); }
 
-size_t CacheModel::StripeOf(const std::string& canonical_key) const {
-  return std::hash<std::string>{}(canonical_key) % kNumStripes;
-}
-
 std::string CacheModel::NextId() {
   return StrCat("E", next_id_.fetch_add(1, std::memory_order_relaxed));
 }
 
 void CacheModel::Register(CacheElementPtr element) {
   const std::string& id = element->id();
-  const std::string key = element->definition().CanonicalKey();
+  const caql::QueryKey& key = element->key();
   // A same-id re-register may carry a different definition and therefore
   // land on a different stripe: clear the old entry first (rare — ids are
   // normally fresh).
@@ -58,27 +53,28 @@ void CacheModel::Register(CacheElementPtr element) {
   auto signature = std::make_shared<const CatalogSignature>(
       ComputeSignature(element->definition()));
 
-  Stripe& s = stripes_[StripeOf(key)];
+  const size_t stripe = StripeOf(key.hash);
+  Stripe& s = stripes_[stripe];
   StripeLock lock(this, s);
   // Same canonical key under another id: concurrent sessions raced to
   // install the same definition; the earlier element is dropped so the
   // key maps to exactly one element.
-  auto kit = s.by_canonical_key.find(key);
-  if (kit != s.by_canonical_key.end() && kit->second != id) {
-    RemoveLocked(s, kit->second);
+  const CacheElementPtr displaced = FindLocked(s, key);
+  if (displaced != nullptr && displaced->id() != id) {
+    RemoveLocked(s, displaced->id());
   }
   for (const logic::Atom& a : element->definition().RelationAtoms()) {
     s.by_predicate[a.predicate].insert(id);
   }
   s.catalog.Insert(id, std::move(signature));
-  s.by_canonical_key[key] = id;
+  s.by_key.emplace(key.hash, element);
   element->ChargeTo(&totals_);
   s.elements[id] = std::move(element);
   ++s.version;
   s.snapshot = nullptr;
   {
     MutexLock idlock(&id_mu_);
-    id_stripe_[id] = StripeOf(key);
+    id_stripe_[id] = stripe;
   }
   count_.fetch_add(1, std::memory_order_acq_rel);
   version_.fetch_add(1, std::memory_order_acq_rel);
@@ -95,10 +91,12 @@ size_t CacheModel::RemoveLocked(Stripe& s, std::string id) {
       if (pit->second.empty()) s.by_predicate.erase(pit);
     }
   }
-  const std::string key = it->second->definition().CanonicalKey();
-  auto kit = s.by_canonical_key.find(key);
-  if (kit != s.by_canonical_key.end() && kit->second == id) {
-    s.by_canonical_key.erase(kit);
+  auto [kit, kend] = s.by_key.equal_range(it->second->key().hash);
+  for (; kit != kend; ++kit) {
+    if (kit->second == it->second) {
+      s.by_key.erase(kit);
+      break;
+    }
   }
   s.catalog.Remove(id);
   s.elements.erase(it);
@@ -147,10 +145,6 @@ std::shared_ptr<const StripeSnapshot> CacheModel::Snapshot(size_t i) const {
         auto eit = s.elements.find(id);
         if (eit != s.elements.end()) out.push_back(eit->second);
       }
-    }
-    for (const auto& [key, id] : s.by_canonical_key) {
-      auto eit = s.elements.find(id);
-      if (eit != s.elements.end()) snap->by_canonical_key[key] = eit->second;
     }
     snap->catalog = s.catalog.Build(s.elements);
     s.snapshot = std::move(snap);
@@ -228,10 +222,19 @@ std::string CacheModel::CheckCatalogConsistency() const {
   return "";
 }
 
-CacheElementPtr CacheModel::ByCanonicalKey(const std::string& key) const {
-  std::shared_ptr<const StripeSnapshot> snap = Snapshot(StripeOf(key));
-  auto it = snap->by_canonical_key.find(key);
-  return it == snap->by_canonical_key.end() ? nullptr : it->second;
+CacheElementPtr CacheModel::FindLocked(const Stripe& s,
+                                       const caql::QueryKey& key) {
+  auto [it, end] = s.by_key.equal_range(key.hash);
+  for (; it != end; ++it) {
+    if (it->second->key().text == key.text) return it->second;
+  }
+  return nullptr;
+}
+
+CacheElementPtr CacheModel::ByCanonicalKey(const caql::QueryKey& key) const {
+  const Stripe& s = stripes_[StripeOf(key.hash)];
+  StripeLock lock(this, s);
+  return FindLocked(s, key);
 }
 
 std::map<std::string, CacheElementPtr> CacheModel::elements() const {

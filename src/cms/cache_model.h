@@ -8,8 +8,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "caql/caql_query.h"
 #include "cms/cache_element.h"
 #include "cms/catalog.h"
 #include "common/mutex.h"
@@ -23,12 +25,12 @@ namespace braid::cms {
 /// stripe changed since the last build) and then run arbitrarily long
 /// lookups — the subsumption search in particular — without holding any
 /// lock, so reads never block installs and installs never block reads
-/// beyond the pointer swap.
+/// beyond the pointer swap. (The exact-match probe needs no snapshot: it
+/// is one hash lookup under the stripe lock.)
 struct StripeSnapshot {
   uint64_t version = 0;
   std::map<std::string, CacheElementPtr> elements;  // id -> element
   std::map<std::string, std::vector<CacheElementPtr>> by_predicate;
-  std::map<std::string, CacheElementPtr> by_canonical_key;
   /// Semantic-catalog posting index over this stripe's elements (DESIGN.md
   /// §11): signature-filtered subsumption candidate retrieval without
   /// scanning the stripe.
@@ -43,11 +45,11 @@ struct StripeSnapshot {
 ///  * by predicate name — the "(predicate name, cache element)" index of
 ///    §5.3.2 step 1, so only elements mentioning a query's predicates are
 ///    considered for subsumption.
-/// A third map keys materialized results by canonical definition for the
-/// exact-match fast path.
+/// A third index keys elements by the hash of their canonical definition
+/// for the exact-match fast path (DESIGN.md §10 "Exact-match index").
 ///
 /// Concurrency (DESIGN.md §10 "Striped cache & session model"): storage is
-/// striped by a hash of the canonical definition key; each stripe has its
+/// striped by the hash of the canonical definition key; each stripe has its
 /// own `braid::Mutex` and a lazily rebuilt immutable snapshot. Writers
 /// (Register/Remove) lock exactly one stripe; readers copy a snapshot
 /// pointer under the stripe lock and search lock-free. A separate leaf
@@ -106,9 +108,10 @@ class CacheModel {
   /// the differential harness after every insert/eviction wave).
   std::string CheckCatalogConsistency() const;
 
-  /// Element whose definition has this canonical key, or null (snapshot
-  /// read).
-  CacheElementPtr ByCanonicalKey(const std::string& key) const;
+  /// Element whose definition has this canonical key, or null: one probe
+  /// of the key's stripe by `key.hash`, confirmed on `key.text` (a hash
+  /// collision misses). Takes the stripe lock briefly; no snapshot.
+  CacheElementPtr ByCanonicalKey(const caql::QueryKey& key) const;
 
   /// Point-in-time copy of the full id -> element map, merged from the
   /// per-stripe snapshots. (Pre-striping this returned a reference into
@@ -165,7 +168,10 @@ class CacheModel {
     std::map<std::string, CacheElementPtr> elements BRAID_GUARDED_BY(mu);
     std::map<std::string, std::set<std::string>> by_predicate
         BRAID_GUARDED_BY(mu);
-    std::map<std::string, std::string> by_canonical_key BRAID_GUARDED_BY(mu);
+    /// Exact-match index: element key hash -> element. A multimap only so
+    /// that two definitions whose hashes collide can both be resident.
+    std::unordered_multimap<uint64_t, CacheElementPtr> by_key
+        BRAID_GUARDED_BY(mu);
     /// Mutable side of the semantic catalog, maintained in the same
     /// critical sections as the maps above.
     CatalogShard catalog BRAID_GUARDED_BY(mu);
@@ -191,15 +197,19 @@ class CacheModel {
     Mutex* mu_;
   };
 
-  size_t StripeOf(const std::string& canonical_key) const;
+  /// The stripe owning keys with this hash.
+  static size_t StripeOf(uint64_t key_hash) { return key_hash % kNumStripes; }
 
   /// Removes `id` from stripe `s` (which must own it) and from the id
   /// directory; returns the bytes freed (what the element discharged).
-  // `id` is taken by value: callers may pass a reference into one of the
-  // stripe maps this function erases from (e.g. Register passes the
-  // by_canonical_key value of the element being displaced), and the id
-  // must outlive those erases.
+  // `id` is taken by value: callers may pass a reference into an element
+  // this function releases (e.g. Register passes the id of the element it
+  // displaces), and the id must outlive that release.
   size_t RemoveLocked(Stripe& s, std::string id) BRAID_REQUIRES(s.mu);
+
+  /// The element of stripe `s` whose key is `key`, or null.
+  static CacheElementPtr FindLocked(const Stripe& s, const caql::QueryKey& key)
+      BRAID_REQUIRES(s.mu);
 
   /// Current (rebuilt-if-stale) snapshot of stripe `i`.
   std::shared_ptr<const StripeSnapshot> Snapshot(size_t i) const;

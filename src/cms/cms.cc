@@ -17,12 +17,6 @@ namespace {
 using caql::CaqlQuery;
 using logic::Term;
 
-/// The all-variable generalization of a view instance: the view's own
-/// definition (every consumer constant replaced by its variable).
-CaqlQuery GeneralizedForm(const advice::ViewSpec& view) {
-  return view.AsCaql();
-}
-
 /// Worker-thread count for the execution engine's pool, or nullptr for a
 /// serial CMS. The calling thread always joins morsel loops, so the
 /// default saturates the machine at hardware_concurrency total lanes.
@@ -87,7 +81,7 @@ class IntermediateCollector : public IntermediateSink {
     // an earlier stage of this plan, an earlier query, or a concurrent
     // session (stage views share the reserved name, so equal structure
     // means equal canonical key). Re-admitting would only churn the slice.
-    const std::string key = offer.view.CanonicalKey();
+    caql::QueryKey key = offer.view.Key();
     if (cache_->model().ByCanonicalKey(key) != nullptr) return;
 
     // Reuse prediction: the advisor models the producing view's own
@@ -112,7 +106,7 @@ class IntermediateCollector : public IntermediateSink {
 
     auto element = std::make_shared<CacheElement>(
         cache_->model().NextId(), offer.view,
-        std::make_shared<rel::Relation>(relation));
+        std::make_shared<rel::Relation>(relation), std::move(key));
     element->set_origin_view(view_id_);
     element->set_derived(true);
     element->stats().cost_to_recompute_ms.store(offer.recompute_ms,
@@ -166,6 +160,14 @@ Cms::Cms(dbms::RemoteDbms* remote, CmsConfig config)
                exec::ExecContext{pool_.get(), config.parallel_threshold}),
       prefetch_memo_hits_(
           &obs::MetricsRegistry::Global().counter("prefetch.memo_hits")),
+      prefetch_rejected_(
+          &obs::MetricsRegistry::Global().counter("prefetch.rejected")),
+      prefetch_cancelled_(
+          &obs::MetricsRegistry::Global().counter("prefetch.cancelled")),
+      prefetch_errors_(
+          &obs::MetricsRegistry::Global().counter("prefetch.errors")),
+      prefetch_wasted_(
+          &obs::MetricsRegistry::Global().counter("prefetch.wasted")),
       intermediate_hits_(
           &obs::MetricsRegistry::Global().counter("intermediate.hits")),
       advice_index_(config.replacement_horizon),
@@ -205,14 +207,15 @@ Cms::Cms(dbms::RemoteDbms* remote, CmsConfig config)
 }
 
 CmsSession* Cms::OpenSession(advice::AdviceSet advice) {
-  if (!config_.enable_advice) {
-    advice = advice::AdviceSet{};  // The CMS functions without advice.
-  }
+  // The CMS functions without advice.
+  advice::CompiledAdvicePtr compiled =
+      config_.enable_advice ? advice::Compile(std::move(advice))
+                            : advice::CompiledAdvice::Empty();
   MutexLock lock(&sessions_mu_);
   sessions_.push_back(
       std::make_unique<CmsSession>(next_session_id_++, advice_index_));
   CmsSession* session = sessions_.back().get();
-  session->InstallAdvice(std::move(advice));
+  session->InstallAdvice(std::move(compiled));
   session->prefetch_rejects_version() = cache_.model().version();
   return session;
 }
@@ -240,18 +243,22 @@ void Cms::CloseSession(CmsSession* session) {
 }
 
 void Cms::BeginSession(advice::AdviceSet advice) {
+  BeginSession(advice::Compile(std::move(advice)));
+}
+
+void Cms::BeginSession(advice::CompiledAdvicePtr advice) {
   // A session change invalidates the predictions behind the session's
   // in-flight prefetches: cancel what has not started, wait out what has,
   // and keep the non-cancelled completions (the cache is cross-session).
+  // The prefetch-rejection memo stays: its verdicts depend on the cache
+  // and the query, not on the advice.
   prefetcher_->CancelSession(default_session_->id());
   InstallCompletedPrefetches(
       *default_session_, prefetcher_->DrainSession(default_session_->id()));
-  default_session_->prefetch_rejects().clear();
-  default_session_->prefetch_rejects_version() = cache_.model().version();
-  if (!config_.enable_advice) {
-    advice = advice::AdviceSet{};  // The CMS functions without advice.
-  }
-  default_session_->InstallAdvice(std::move(advice));
+  // The CMS functions without advice.
+  default_session_->InstallAdvice(config_.enable_advice
+                                      ? std::move(advice)
+                                      : advice::CompiledAdvice::Empty());
 }
 
 void Cms::DrainPrefetches() {
@@ -283,23 +290,21 @@ std::string Cms::CheckReplacementAdvice() const {
 
 void Cms::InstallCompletedPrefetches(
     CmsSession& session, std::vector<Prefetcher::Completed> done) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   for (Prefetcher::Completed& c : done) {
     if (!c.outcome.status.ok()) {
-      reg.counter(c.cancelled ? "prefetch.cancelled" : "prefetch.errors")
-          .Increment();
+      (c.cancelled ? prefetch_cancelled_ : prefetch_errors_)->Increment();
       continue;
     }
     // A foreground query may have cached the same definition while the
     // prefetch was in flight (it lost the race); the fetch was wasted
     // but harmless.
-    if (cache_.model().ByCanonicalKey(c.job.canonical_key) != nullptr ||
-        CacheResult(session, c.job.query,
+    if (cache_.model().ByCanonicalKey(c.job.key) != nullptr ||
+        CacheResult(session, c.job.query, c.job.key,
                     std::make_shared<const rel::Relation>(
                         std::move(c.outcome.result)),
                     c.job.view_id)
             .empty()) {
-      reg.counter("prefetch.wasted").Increment();
+      prefetch_wasted_->Increment();
       continue;
     }
     session.metrics().prefetch_ms += c.outcome.modeled_ms;
@@ -320,6 +325,7 @@ bool Cms::CachingPolicyAdmits(const CaqlQuery& definition) const {
 }
 
 std::string Cms::CacheResult(CmsSession& session, const CaqlQuery& definition,
+                             const caql::QueryKey& key,
                              std::shared_ptr<const rel::Relation> result,
                              const std::string& origin_view) {
   // Result caching is cross-session ("eliminates the cost of recomputing
@@ -327,8 +333,8 @@ std::string Cms::CacheResult(CmsSession& session, const CaqlQuery& definition,
   // policy; a path expression predicting no recurrence lowers the
   // element's replacement priority instead of blocking admission.
   if (!CachingPolicyAdmits(definition)) return "";
-  auto element = std::make_shared<CacheElement>(cache_.model().NextId(),
-                                                definition, std::move(result));
+  auto element = std::make_shared<CacheElement>(
+      cache_.model().NextId(), definition, std::move(result), key);
   element->set_origin_view(origin_view);
 
   // Attribute indexing from consumer annotations (paper §4.2.1): index the
@@ -388,7 +394,7 @@ Result<bool> Cms::MaybeGeneralize(CmsSession& session, const CaqlQuery& query,
       !config_.enable_caching || view_id.empty()) {
     return false;
   }
-  const advice::ViewSpec* view = session.FindView(view_id);
+  const advice::CompiledView* view = session.FindView(view_id);
   if (view == nullptr) return false;
   // Only useful when the instance actually binds constants.
   bool has_constant = false;
@@ -398,11 +404,11 @@ Result<bool> Cms::MaybeGeneralize(CmsSession& session, const CaqlQuery& query,
   if (!has_constant) return false;
   if (!session.ShouldGeneralize(view_id, query)) return false;
 
-  const CaqlQuery general = GeneralizedForm(*view);
+  const CaqlQuery& general = view->general;
   // A background prefetch may already be computing exactly this general
   // form: wait for it rather than duplicating its remote fetches, then
   // install its result so the admission probe below sees it cached.
-  if (prefetcher_->Join(general.CanonicalKey())) {
+  if (prefetcher_->Join(view->key.text)) {
     ++session.metrics().prefetch_joins;
     InstallCompletedPrefetches(session, prefetcher_->Harvest());
   }
@@ -410,7 +416,7 @@ Result<bool> Cms::MaybeGeneralize(CmsSession& session, const CaqlQuery& query,
   // has no fully-local skip: deriving the general form from cached data
   // is still worth materializing for the exact-match fast path.)
   const SpeculativeAdmission verdict = JudgeSpeculative(
-      cache_.model(), planner_, general,
+      cache_.model(), planner_, general, view->key,
       [this, &general] { return EstimateResultBytes(general); },
       config_.cache_budget_bytes,
       /*skip_if_fully_local=*/false, /*plan_out=*/nullptr,
@@ -422,7 +428,7 @@ Result<bool> Cms::MaybeGeneralize(CmsSession& session, const CaqlQuery& query,
   if (verdict != SpeculativeAdmission::kAdmit) return false;
   BRAID_ASSIGN_OR_RETURN(EagerExec exec, ExecuteEager(session, general));
   *response_ms += exec.response_ms;
-  CacheResult(session, general,
+  CacheResult(session, general, view->key,
               std::make_shared<const rel::Relation>(std::move(exec.result)),
               view_id);
   ++session.metrics().generalizations;
@@ -435,11 +441,10 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
       !config_.enable_caching) {
     return;
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-
   // Memoized rejections are judged against one cache-content version;
   // any insert or eviction since then can flip a verdict, so the memo is
-  // dropped wholesale. (Advice changes clear it in BeginSession.)
+  // dropped wholesale. (Advice changes keep it: a verdict depends on the
+  // query and the cache only.)
   if (session.prefetch_rejects_version() != cache_.model().version()) {
     session.prefetch_rejects().clear();
     session.prefetch_rejects_version() = cache_.model().version();
@@ -458,11 +463,13 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
   std::sort(ranked.begin(), ranked.end());
 
   for (const auto& [distance, candidate] : ranked) {
-    const advice::ViewSpec* view = session.FindView(candidate);
+    // The view's general form and key were compiled with the advice, so an
+    // already-cached candidate costs one probe of the precompiled key.
+    const advice::CompiledView* view = session.FindView(candidate);
     if (view == nullptr) continue;
-    const CaqlQuery general = GeneralizedForm(*view);
-    const std::string key = general.CanonicalKey();
-    if (prefetcher_->InFlight(key)) continue;  // already being fetched
+    const CaqlQuery& general = view->general;
+    const caql::QueryKey& key = view->key;
+    if (prefetcher_->InFlight(key.text)) continue;  // already being fetched
     if (session.prefetch_rejects().count(key) > 0) {
       prefetch_memo_hits_->Increment();
       continue;
@@ -470,7 +477,7 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
 
     Plan plan;
     const SpeculativeAdmission verdict = JudgeSpeculative(
-        cache_.model(), planner_, general,
+        cache_.model(), planner_, general, key,
         [this, &general] { return EstimateResultBytes(general); },
         config_.cache_budget_bytes, /*skip_if_fully_local=*/true, &plan,
         load_controller_.get());
@@ -486,7 +493,7 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
       // Stable for the current cache contents + advice — memoize so the
       // next query's admission pass skips the size estimate and planning.
       session.prefetch_rejects().insert(key);
-      reg.counter("prefetch.rejected").Increment();
+      prefetch_rejected_->Increment();
       continue;
     }
 
@@ -505,7 +512,7 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
       PrefetchJob job;
       job.query = general;
       job.view_id = candidate;
-      job.canonical_key = key;
+      job.key = key;
       job.session_id = session.id();
       job.plan = std::move(plan);
       prefetcher_->Launch(std::move(job));  // capacity refusal: retry later
@@ -517,19 +524,19 @@ void Cms::MaybePrefetch(CmsSession& session, const std::string& current_view,
     auto exec = ExecuteEager(session, general);
     if (!exec.ok()) continue;
     session.metrics().prefetch_ms += exec->response_ms;
-    CacheResult(session, general,
+    CacheResult(session, general, key,
                 std::make_shared<const rel::Relation>(std::move(exec->result)),
                 candidate);
     ++session.metrics().prefetches;
   }
 }
 
-bool Cms::TryAnswerExact(CmsSession& session, const CaqlQuery& query,
+bool Cms::TryAnswerExact(CmsSession& session, const caql::QueryKey& key,
                          obs::SpanId parent, CmsAnswer* answer) {
   obs::SpanScope probe(&tracer_, "exact_probe", parent);
-  CacheElementPtr exact = cache_.model().ByCanonicalKey(query.CanonicalKey());
+  CacheElementPtr exact = cache_.model().ByCanonicalKey(key);
   if (exact == nullptr || !exact->is_materialized()) return false;
-  cache_.Touch(exact->id());
+  cache_.Touch(*exact);
   ++session.metrics().exact_hits;
   answer->relation = exact->extension();
   answer->stream = std::make_unique<stream::ScanStream>(answer->relation);
@@ -614,10 +621,14 @@ Result<CmsAnswer> Cms::Query(CmsSession& session, const CaqlQuery& query) {
 
   CmsAnswer answer;
   double response_ms = 0;
+  // The query's one canonical key and hash: the exact probe, the prefetch
+  // join and the result install all use it.
+  const caql::QueryKey key =
+      config_.enable_caching ? query.Key() : caql::QueryKey{};
 
   // Exact-match fast path (result caching).
   if (config_.enable_caching &&
-      TryAnswerExact(session, query, root.id(), &answer)) {
+      TryAnswerExact(session, key, root.id(), &answer)) {
     root.SetModeledMs(answer.response_ms);
     root.Annotate("outcome", CacheOutcomeName(answer.outcome));
     root.End();
@@ -631,11 +642,11 @@ Result<CmsAnswer> Cms::Query(CmsSession& session, const CaqlQuery& query) {
   // join catches a constant-bound instance whose view's generalization
   // is in flight (answered below via subsumption once installed).
   if (config_.enable_caching && config_.enable_prefetch &&
-      (prefetcher_->Join(query.CanonicalKey()) ||
+      (prefetcher_->Join(key.text) ||
        (!view_id.empty() && prefetcher_->JoinView(view_id)))) {
     ++metrics.prefetch_joins;
     InstallCompletedPrefetches(session, prefetcher_->Harvest());
-    if (TryAnswerExact(session, query, root.id(), &answer)) {
+    if (TryAnswerExact(session, key, root.id(), &answer)) {
       root.SetModeledMs(answer.response_ms);
       root.Annotate("outcome", CacheOutcomeName(answer.outcome));
       root.Annotate("joined_prefetch", "yes");
@@ -738,7 +749,7 @@ Result<CmsAnswer> Cms::Query(CmsSession& session, const CaqlQuery& query) {
   // answer and the cache element share the one immutable relation.
   answer.relation =
       std::make_shared<const rel::Relation>(std::move(outcome.result));
-  CacheResult(session, query, answer.relation, view_id);
+  CacheResult(session, query, key, answer.relation, view_id);
   answer.stream = std::make_unique<stream::ScanStream>(answer.relation);
   answer.response_ms = response_ms;
   metrics.response_ms += response_ms;
@@ -808,8 +819,7 @@ Result<rel::Relation> Cms::QuerySorted(
     // Query), keep the sorted copy as a co-existing alternative
     // representation of that element, budget permitting, and reuse it
     // next time.
-    CacheElementPtr element =
-        cache_.model().ByCanonicalKey(query.CanonicalKey());
+    CacheElementPtr element = cache_.model().ByCanonicalKey(query.Key());
     if (element != nullptr && element->is_materialized()) {
       auto rep = element->sorted(cols);
       const bool reused = rep != nullptr;
@@ -873,9 +883,9 @@ Result<rel::Relation> Cms::TransitiveClosure(const std::string& edge_predicate) 
                                                  Term::Var("Y")})};
   if (config_.enable_caching) {
     CacheElementPtr cached =
-        cache_.model().ByCanonicalKey(closure_def.CanonicalKey());
+        cache_.model().ByCanonicalKey(closure_def.Key());
     if (cached != nullptr && cached->is_materialized()) {
-      cache_.Touch(cached->id());
+      cache_.Touch(*cached);
       return *cached->extension();
     }
   }

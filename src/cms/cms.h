@@ -165,6 +165,9 @@ class Cms {
   /// is disabled) and resets the tracker; the default session's in-flight
   /// prefetches are cancelled and waited out first (their predictions
   /// died with the old advice).
+  void BeginSession(advice::CompiledAdvicePtr advice);
+
+  /// BeginSession with `advice` compiled first.
   void BeginSession(advice::AdviceSet advice);
 
   /// Answers one IE query on `session`. Synchronous; a session's queries
@@ -307,13 +310,14 @@ class Cms {
                                  const caql::CaqlQuery& query,
                                  obs::SpanId parent = 0);
 
-  /// Caches `result` as a materialized element defined by `definition`,
-  /// subject to the caching policy; builds advised indexes using
-  /// `session`'s consumer annotations. The element shares `result`
-  /// (callers may hand the same relation to the IE). Returns the element
-  /// id or "" when not cached.
+  /// Caches `result` as a materialized element defined by `definition`
+  /// (whose key is `key`), subject to the caching policy; builds advised
+  /// indexes using `session`'s consumer annotations. The element shares
+  /// `result` (callers may hand the same relation to the IE). Returns the
+  /// element id or "" when not cached.
   std::string CacheResult(CmsSession& session,
                           const caql::CaqlQuery& definition,
+                          const caql::QueryKey& key,
                           std::shared_ptr<const rel::Relation> result,
                           const std::string& origin_view);
 
@@ -340,10 +344,10 @@ class Cms {
   /// `parent` carrying the kind and the queue depth that triggered it.
   void RecordShed(ShedKind kind, obs::SpanId parent);
 
-  /// Answers `query` from an exact materialized cache element if present;
-  /// fills `answer` and returns true on a hit (shared by the fast path
-  /// and the post-join re-probe).
-  bool TryAnswerExact(CmsSession& session, const caql::CaqlQuery& query,
+  /// Answers the query whose key is `key` from an exact materialized
+  /// cache element if present; fills `answer` and returns true on a hit
+  /// (shared by the fast path and the post-join re-probe).
+  bool TryAnswerExact(CmsSession& session, const caql::QueryKey& key,
                       obs::SpanId parent, CmsAnswer* answer);
 
   /// Installs harvested background-prefetch results into the (striped,
@@ -366,7 +370,12 @@ class Cms {
   std::unique_ptr<exec::ThreadPool> pool_;  // before monitor_: it borrows it
   ExecutionMonitor monitor_;
   obs::Tracer tracer_;
-  obs::Counter* prefetch_memo_hits_;  // hot-path instruments, resolved once
+  // Hot-path instruments, resolved once.
+  obs::Counter* prefetch_memo_hits_;
+  obs::Counter* prefetch_rejected_;
+  obs::Counter* prefetch_cancelled_;
+  obs::Counter* prefetch_errors_;
+  obs::Counter* prefetch_wasted_;
   obs::Counter* intermediate_hits_;
 
   /// Replacement advice of every open session, kept current by the

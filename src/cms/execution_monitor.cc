@@ -86,7 +86,7 @@ Result<rel::Relation> ExecutionMonitor::MaterializeElementSource(
     return Status::NotFound(
         StrCat("cache element ", source.element_id, " vanished"));
   }
-  cache_->Touch(source.element_id);
+  cache_->Touch(*element);
   const std::shared_ptr<const rel::Relation>& ext = element->extension();
 
   // Apply residual selections, using a hash index for the first

@@ -287,14 +287,14 @@ const char* SpeculativeAdmissionName(SpeculativeAdmission verdict) {
 
 SpeculativeAdmission JudgeSpeculative(
     const CacheModel& model, const QueryPlanner& planner,
-    const caql::CaqlQuery& general,
+    const caql::CaqlQuery& general, const caql::QueryKey& general_key,
     const std::function<double()>& estimated_result_bytes,
     size_t cache_budget_bytes, bool skip_if_fully_local, Plan* plan_out,
     const LoadController* load) {
   if (load != nullptr && load->ShouldShed()) {
     return SpeculativeAdmission::kShedOverload;
   }
-  if (model.ByCanonicalKey(general.CanonicalKey()) != nullptr) {
+  if (model.ByCanonicalKey(general_key) != nullptr) {
     return SpeculativeAdmission::kAlreadyCached;
   }
   if (estimated_result_bytes() >

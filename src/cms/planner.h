@@ -137,13 +137,15 @@ const char* SpeculativeAdmissionName(SpeculativeAdmission verdict);
 /// latency to hide — the fully-local skip. `estimated_result_bytes` is
 /// invoked lazily, after the cheap cache probe. On kAdmit with a non-null
 /// `plan_out`, the plan computed for the fully-local check is handed back
-/// so callers do not plan the same query twice. `load`, when non-null, is
+/// so callers do not plan the same query twice. `general_key` is
+/// `general.Key()`, which callers compile once per advice (DESIGN.md §10
+/// "Compiled advice"). `load`, when non-null, is
 /// consulted first and short-circuits everything (the verdict must stay
 /// cheap exactly when the system is busiest); callers acting on
 /// kShedOverload report it via LoadController::CountShed.
 SpeculativeAdmission JudgeSpeculative(
     const CacheModel& model, const QueryPlanner& planner,
-    const caql::CaqlQuery& general,
+    const caql::CaqlQuery& general, const caql::QueryKey& general_key,
     const std::function<double()>& estimated_result_bytes,
     size_t cache_budget_bytes, bool skip_if_fully_local,
     Plan* plan_out = nullptr, const LoadController* load = nullptr);

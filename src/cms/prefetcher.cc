@@ -33,10 +33,10 @@ bool Prefetcher::Launch(PrefetchJob job) {
   {
     MutexLock lock(&mu_);
     if (inflight_.size() >= max_inflight_) return false;
-    if (inflight_.count(job.canonical_key) > 0) return false;
+    if (inflight_.count(job.key.text) > 0) return false;
     entry = std::make_shared<Entry>();
     entry->job = std::move(job);
-    inflight_[entry->job.canonical_key] = entry;
+    inflight_[entry->job.key.text] = entry;
   }
   issued_->Increment();
   // The registry lock must NOT be held across Submit: with zero workers
@@ -216,7 +216,7 @@ void Prefetcher::RunJob(const std::shared_ptr<Entry>& entry) {
   Completed done;
   done.cancelled = entry->cancelled.load(std::memory_order_relaxed);
   // Copy the key before the job moves into the completion record.
-  const std::string key = entry->job.canonical_key;
+  const std::string key = entry->job.key.text;
   done.job = std::move(entry->job);
   done.outcome = std::move(outcome);
   completed_.push_back(std::move(done));

@@ -28,7 +28,7 @@ namespace braid::cms {
 struct PrefetchJob {
   caql::CaqlQuery query;      // the generalized form to execute
   std::string view_id;        // origin view (cache install + advice)
-  std::string canonical_key;  // dedup / join key: query.CanonicalKey()
+  caql::QueryKey key;         // dedup / join key: query.Key()
   uint64_t session_id = 0;    // owning session (cancel / drain scoping)
   Plan plan;
 };

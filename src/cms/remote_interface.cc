@@ -149,6 +149,10 @@ Result<dbms::SqlQuery> RemoteDbmsInterface::Translate(
   return sql;
 }
 
+RemoteDbmsInterface::RemoteDbmsInterface(dbms::RemoteDbms* remote)
+    : remote_(remote),
+      fetches_(&obs::MetricsRegistry::Global().counter("remote.fetches")) {}
+
 Result<RemoteFetch> RemoteDbmsInterface::Fetch(
     const CaqlQuery& query, const std::vector<std::string>& needed_vars) {
   // Counts every fetch issued through the RDI, from the foreground
@@ -156,7 +160,7 @@ Result<RemoteFetch> RemoteDbmsInterface::Fetch(
   // alike — the counter the fetch-exactly-once tests assert on. Fetch is
   // thread-safe: Translate is const over the immutable remote schema and
   // Execute guards its statistics internally.
-  obs::MetricsRegistry::Global().counter("remote.fetches").Increment();
+  fetches_->Increment();
   BRAID_ASSIGN_OR_RETURN(dbms::SqlQuery sql, Translate(query, needed_vars));
   BRAID_ASSIGN_OR_RETURN(dbms::RemoteResult result, remote_->Execute(sql));
 

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "dbms/remote_dbms.h"
 #include "dbms/sql.h"
+#include "obs/metrics.h"
 #include "stream/remote_stream.h"
 
 namespace braid::cms {
@@ -26,7 +27,7 @@ struct RemoteFetch {
 /// planner keeps them local.
 class RemoteDbmsInterface {
  public:
-  explicit RemoteDbmsInterface(dbms::RemoteDbms* remote) : remote_(remote) {}
+  explicit RemoteDbmsInterface(dbms::RemoteDbms* remote);
 
   /// Translates a conjunctive CAQL query over base relations into SQL.
   /// `needed_vars` become the SELECT list, in order.
@@ -51,6 +52,7 @@ class RemoteDbmsInterface {
 
  private:
   dbms::RemoteDbms* remote_;
+  obs::Counter* fetches_;  // `remote.fetches`, resolved once
 };
 
 }  // namespace braid::cms

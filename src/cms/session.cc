@@ -17,7 +17,7 @@ std::string CmsMetrics::ToString() const {
   return os.str();
 }
 
-void CmsSession::InstallAdvice(advice::AdviceSet advice) {
+void CmsSession::InstallAdvice(advice::CompiledAdvicePtr advice) {
   MutexLock lock(&advice_mu_);
   advice_.BeginSession(std::move(advice));
   index_.Replace(&published_, advice_.advice().base_relations,
@@ -64,7 +64,8 @@ bool CmsSession::ShouldGeneralize(const std::string& view_id,
   return advice_.ShouldGeneralize(view_id, instance);
 }
 
-const advice::ViewSpec* CmsSession::FindView(const std::string& id) const {
+const advice::CompiledView* CmsSession::FindView(
+    const std::string& id) const {
   MutexLock lock(&advice_mu_);
   return advice_.FindView(id);
 }

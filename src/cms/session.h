@@ -75,18 +75,21 @@ class CmsSession {
 
   /// Memoized prefetch-admission rejections (too-large / fully-local /
   /// unplannable), keyed by canonical key and valid for one cache-content
-  /// version; capacity skips are transient and are not memoized.
-  std::unordered_set<std::string>& prefetch_rejects() {
+  /// version; capacity skips are transient and are not memoized. A verdict
+  /// depends on the query and the cache, not on the advice, so installing
+  /// new advice keeps the memo.
+  std::unordered_set<caql::QueryKey, caql::QueryKeyHash>& prefetch_rejects() {
     return prefetch_rejects_;
   }
   uint64_t& prefetch_rejects_version() { return prefetch_rejects_version_; }
 
   // --- advice (internally locked) ---
 
-  /// Replaces the session's advice, resetting the tracker and memo.
-  /// Quiescent-only: view-spec pointers handed out by FindView are
-  /// invalidated, so no query of this session may be in flight.
-  void InstallAdvice(advice::AdviceSet advice);
+  /// Replaces the session's advice (shared, not copied), resetting the
+  /// tracker. Quiescent-only: view pointers handed out by FindView may
+  /// outlive their advice only while a query holds them, so no query of
+  /// this session may be in flight.
+  void InstallAdvice(advice::CompiledAdvicePtr advice);
 
   /// Removes the session's replacement advice from the index (idempotent;
   /// the destructor calls it too). For a closing session: from here on it
@@ -103,9 +106,9 @@ class CmsSession {
   bool ShouldGeneralize(const std::string& view_id,
                         const caql::CaqlQuery& instance) const;
 
-  /// View specs are immutable between InstallAdvice calls, so the pointer
-  /// stays valid for the duration of the query that looked it up.
-  const advice::ViewSpec* FindView(const std::string& id) const;
+  /// Compiled views are immutable between InstallAdvice calls, so the
+  /// pointer stays valid for the duration of the query that looked it up.
+  const advice::CompiledView* FindView(const std::string& id) const;
 
   /// This session's replacement advice for `element`: the tracker's
   /// predicted distance for the element's origin view, else — when the
@@ -129,7 +132,7 @@ class CmsSession {
 
   // Query-serial (see class comment).
   CmsMetrics metrics_;
-  std::unordered_set<std::string> prefetch_rejects_;
+  std::unordered_set<caql::QueryKey, caql::QueryKeyHash> prefetch_rejects_;
   uint64_t prefetch_rejects_version_ = 0;
 };
 

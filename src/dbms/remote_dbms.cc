@@ -18,6 +18,21 @@ std::string RemoteStats::ToString() const {
   return os.str();
 }
 
+RemoteDbms::RemoteDbms(Database database, NetworkModel network,
+                       DbmsCostModel costs)
+    : database_(std::move(database)),
+      network_(network),
+      costs_(costs),
+      executor_(&database_),
+      queries_(&obs::MetricsRegistry::Global().counter("remote.queries")),
+      messages_(&obs::MetricsRegistry::Global().counter("remote.messages")),
+      tuples_shipped_(
+          &obs::MetricsRegistry::Global().counter("remote.tuples_shipped")),
+      bytes_shipped_(
+          &obs::MetricsRegistry::Global().counter("remote.bytes_shipped")),
+      fetch_modeled_ms_(&obs::MetricsRegistry::Global().histogram(
+          "remote.fetch_modeled_ms")) {}
+
 Result<RemoteResult> RemoteDbms::Execute(const SqlQuery& query) {
   WorkCounters work;
   BRAID_ASSIGN_OR_RETURN(rel::Relation result, executor_.Execute(query, &work));
@@ -57,14 +72,11 @@ Result<RemoteResult> RemoteDbms::Execute(const SqlQuery& query) {
     stats_.server_ms += cost.server_ms;
     stats_.total_ms += cost.total_ms;
   }
-  {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.counter("remote.queries").Increment();
-    registry.counter("remote.messages").Increment(cost.messages);
-    registry.counter("remote.tuples_shipped").Increment(cost.tuples_shipped);
-    registry.counter("remote.bytes_shipped").Increment(cost.bytes_shipped);
-    registry.histogram("remote.fetch_modeled_ms").Observe(cost.total_ms);
-  }
+  queries_->Increment();
+  messages_->Increment(cost.messages);
+  tuples_shipped_->Increment(cost.tuples_shipped);
+  bytes_shipped_->Increment(cost.bytes_shipped);
+  fetch_modeled_ms_->Observe(cost.total_ms);
 
   if (network_.wall_clock_scale > 0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(

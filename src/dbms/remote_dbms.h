@@ -9,6 +9,7 @@
 #include "dbms/database.h"
 #include "dbms/executor.h"
 #include "dbms/sql.h"
+#include "obs/metrics.h"
 
 namespace braid::dbms {
 
@@ -76,11 +77,7 @@ struct RemoteResult {
 /// IE.
 class RemoteDbms {
  public:
-  RemoteDbms(Database database, NetworkModel network, DbmsCostModel costs)
-      : database_(std::move(database)),
-        network_(network),
-        costs_(costs),
-        executor_(&database_) {}
+  RemoteDbms(Database database, NetworkModel network, DbmsCostModel costs);
 
   explicit RemoteDbms(Database database)
       : RemoteDbms(std::move(database), NetworkModel{}, DbmsCostModel{}) {}
@@ -129,6 +126,14 @@ class RemoteDbms {
   Executor executor_;
   mutable Mutex stats_mu_;
   RemoteStats stats_ BRAID_GUARDED_BY(stats_mu_);
+
+  // Registry-owned `remote.*` instruments, resolved once: every Execute
+  // counts on all of them.
+  obs::Counter* queries_;
+  obs::Counter* messages_;
+  obs::Counter* tuples_shipped_;
+  obs::Counter* bytes_shipped_;
+  obs::Histogram* fetch_modeled_ms_;
 };
 
 }  // namespace braid::dbms

@@ -1,7 +1,11 @@
 #ifndef BRAID_IE_INFERENCE_ENGINE_H_
 #define BRAID_IE_INFERENCE_ENGINE_H_
 
+#include <cstdint>
+#include <list>
+#include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "advice/advice.h"
 #include "cms/cms.h"
@@ -33,6 +37,8 @@ struct IeConfig {
   bool send_path_expression = true;
   bool shaper_reorder = true;
   bool shaper_cull = true;
+
+  bool operator==(const IeConfig& other) const = default;
 };
 
 /// The result of pre-analysis: the shaped problem graph, the view
@@ -47,9 +53,15 @@ struct Preanalysis {
 /// The outcome of answering one AI query.
 struct AskOutcome {
   rel::Relation solutions;  // one row per solution, columns = query vars
-  advice::AdviceSet advice;
+  /// The pre-analysis the Ask ran on: its rule plans and advice.
+  std::shared_ptr<const CompiledPreanalysis> preanalysis;
   InterpreterStats interpreter_stats;  // meaningful for kInterpreted
   CompiledStats compiled_stats;        // meaningful for kCompiled
+
+  /// The pre-analysis's advice (sent to the CMS unless send_advice is off).
+  const advice::AdviceSet& advice() const {
+    return preanalysis->advice->advice();
+  }
 };
 
 /// The BrAID inference engine (paper §4, Fig. 4). `Ask` runs the full
@@ -57,14 +69,29 @@ struct AskOutcome {
 /// specification, path-expression creation, advice transmission (session
 /// start), then inference under the configured strategy, with all database
 /// access routed through the CMS as CAQL queries.
+///
+/// Ask memoizes its pre-analysis (DESIGN.md §6 "Pre-analysis memo"): an
+/// entry is keyed by the exact goal, the IeConfig and the knowledge base's
+/// version, and is reused while every cache-residency bit its shaping
+/// consulted still holds. The memo is bounded (kMemoCapacity, least
+/// recently used out first) and belongs to this engine, which one thread
+/// drives at a time.
 class InferenceEngine {
  public:
+  /// Memoized pre-analyses kept at most.
+  static constexpr size_t kMemoCapacity = 4096;
+
   InferenceEngine(const logic::KnowledgeBase* kb, cms::Cms* cms,
                   IeConfig config = {})
       : kb_(kb), cms_(cms), config_(config) {}
 
-  /// Pre-analysis only (no session, no inference) — used by tests and by
-  /// callers that want to inspect the advice.
+  // The memo index holds iterators into the memo list.
+  InferenceEngine(const InferenceEngine&) = delete;
+  InferenceEngine& operator=(const InferenceEngine&) = delete;
+
+  /// Pre-analysis only (no session, no inference, no memo): always
+  /// computed fresh, the reference a memoized Ask must agree with. Used by
+  /// tests and by callers that want to inspect the advice.
   Result<Preanalysis> Analyze(const logic::Atom& query) const;
 
   /// Answers an AI query (an atomic formula, e.g. parsed from "k1(X,Y)?").
@@ -76,10 +103,35 @@ class InferenceEngine {
   const IeConfig& config() const { return config_; }
   void set_config(IeConfig config) { config_ = config; }
 
+  /// Memoized pre-analyses currently held (at most kMemoCapacity).
+  size_t memo_size() const { return memo_.size(); }
+
  private:
+  struct MemoEntry {
+    logic::Atom goal;
+    IeConfig config;
+    uint64_t kb_version = 0;
+    ResidencyBits residency;  // what the shaping consulted
+    std::shared_ptr<const CompiledPreanalysis> preanalysis;
+  };
+  using MemoList = std::list<MemoEntry>;  // most recently used first
+
+  /// Analyze, appending the residency bits the shaper consulted.
+  Result<Preanalysis> Analyze(const logic::Atom& query,
+                              ResidencyBits* residency) const;
+
+  /// The compiled pre-analysis of `query`: the memoized one while it is
+  /// valid, else a fresh one, which is memoized.
+  Result<std::shared_ptr<const CompiledPreanalysis>> Preanalyze(
+      const logic::Atom& query);
+
   const logic::KnowledgeBase* kb_;
   cms::Cms* cms_;
   IeConfig config_;
+
+  MemoList memo_;
+  /// Goal hash -> entry; goals that differ only in config share a hash.
+  std::unordered_multimap<size_t, MemoList::iterator> memo_index_;
 };
 
 }  // namespace braid::ie

@@ -30,7 +30,6 @@ Result<rel::Relation> InterpretedStrategy::Solve(const Atom& query) {
                           rel::Schema::FromNames(vars));
 
   Emit collect = [&](const Substitution& subst) -> Result<bool> {
-    Atom solved = subst.Apply(query);
     rel::Tuple row;
     row.reserve(vars.size());
     for (const std::string& v : vars) {
@@ -39,7 +38,6 @@ Result<rel::Relation> InterpretedStrategy::Solve(const Atom& query) {
                         ? bound->value()
                         : rel::Value::Null());
     }
-    (void)solved;
     solutions.AppendUnchecked(std::move(row));
     ++stats_.solutions;
     return solutions.NumTuples() < config_.max_solutions;
@@ -98,8 +96,8 @@ Result<bool> InterpretedStrategy::SolveGoal(const Atom& goal,
   }
 
   for (const logic::Rule& rule : kb_->RulesFor(g.predicate)) {
-    auto plan_it = spec_->rule_plans.find(rule.id);
-    if (plan_it == spec_->rule_plans.end()) {
+    auto plan_it = pre_->rule_plans.find(rule.id);
+    if (plan_it == pre_->rule_plans.end()) {
       // Rule unreachable during pre-analysis (e.g. culled); interpret its
       // body directly as calls.
       const std::string suffix = StrCat("_i", invocation_counter_++);
@@ -169,10 +167,10 @@ Result<bool> InterpretedStrategy::SolveRun(
   }
   // Head: the view's argument set if known, otherwise all run variables.
   std::vector<Term> head_terms;
-  const advice::ViewSpec* view =
-      item.view_id.empty() ? nullptr : spec_->FindView(item.view_id);
+  const advice::CompiledView* view =
+      item.view_id.empty() ? nullptr : pre_->advice->FindView(item.view_id);
   if (view != nullptr) {
-    for (const advice::AnnotatedVar& av : view->head) {
+    for (const advice::AnnotatedVar& av : view->spec->head) {
       head_terms.push_back(
           subst.Apply(Term::Var(av.name + suffix)));
     }

@@ -34,10 +34,11 @@ struct InterpreterStats {
 /// never computed when the CMS evaluates lazily.
 class InterpretedStrategy {
  public:
+  /// `pre` supplies the rule plans and the views their runs instantiate.
   InterpretedStrategy(const logic::KnowledgeBase* kb,
-                      const ViewSpecification* spec, cms::Cms* cms,
+                      const CompiledPreanalysis* pre, cms::Cms* cms,
                       InterpreterConfig config)
-      : kb_(kb), spec_(spec), cms_(cms), config_(config) {}
+      : kb_(kb), pre_(pre), cms_(cms), config_(config) {}
 
   /// Solves the AI query; returns one row per solution, columns named by
   /// the query's variables (in first-occurrence order).
@@ -72,7 +73,7 @@ class InterpretedStrategy {
                               const Emit& emit);
 
   const logic::KnowledgeBase* kb_;
-  const ViewSpecification* spec_;
+  const CompiledPreanalysis* pre_;
   cms::Cms* cms_;
   InterpreterConfig config_;
   InterpreterStats stats_;

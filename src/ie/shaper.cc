@@ -25,7 +25,8 @@ bool AllArgsBound(const Atom& atom, const std::set<std::string>& bound) {
 
 }  // namespace
 
-Status ProblemGraphShaper::Shape(ProblemGraph* graph) const {
+Status ProblemGraphShaper::Shape(ProblemGraph* graph,
+                                 ResidencyBits* consulted) const {
   if (graph->root == nullptr) {
     return Status::InvalidArgument("empty problem graph");
   }
@@ -35,7 +36,9 @@ Status ProblemGraphShaper::Shape(ProblemGraph* graph) const {
   // Root binding pattern: the AI query's constants are "bound"; its
   // variables are free (the application wants bindings for them).
   graph->root->bound_vars.clear();
-  OrderAndBind(graph->root.get());
+  ResidencyBits residency;
+  OrderAndBind(graph->root.get(),
+               consulted != nullptr ? consulted : &residency);
   MarkMutex(graph->root.get());
   return Status::Ok();
 }
@@ -83,8 +86,19 @@ bool ProblemGraphShaper::Cull(OrNode* node) const {
   return !alts.empty();
 }
 
-double ProblemGraphShaper::EstimateGoal(
-    const OrNode& node, const std::set<std::string>& bound) const {
+bool ProblemGraphShaper::Resident(const std::string& predicate,
+                                  ResidencyBits* residency) const {
+  for (const auto& [p, bit] : *residency) {
+    if (p == predicate) return bit;
+  }
+  const bool bit = cache_model_->HasMaterializedFor(predicate);
+  residency->emplace_back(predicate, bit);
+  return bit;
+}
+
+double ProblemGraphShaper::EstimateGoal(const OrNode& node,
+                                        const std::set<std::string>& bound,
+                                        ResidencyBits* residency) const {
   const Atom& goal = node.goal;
   // Negated literals are cheap checks once ground, but must wait for
   // their variables to be produced.
@@ -124,8 +138,7 @@ double ProblemGraphShaper::EstimateGoal(
       }
       // Cache-residency discount: a subgoal answerable from the cache
       // costs no communication, so prefer visiting it early.
-      if (cache_model_ != nullptr &&
-          cache_model_->HasMaterializedFor(goal.predicate)) {
+      if (cache_model_ != nullptr && Resident(goal.predicate, residency)) {
         card *= 0.05;
       }
       return std::max(card, 0.01);
@@ -147,7 +160,8 @@ double ProblemGraphShaper::EstimateGoal(
   return 1000.0;
 }
 
-void ProblemGraphShaper::OrderAndBind(OrNode* node) const {
+void ProblemGraphShaper::OrderAndBind(OrNode* node,
+                                      ResidencyBits* residency) const {
   for (auto& alt : node->alternatives) {
     // Variables of the head bound at call time: head positions whose goal
     // argument is bound (a constant, or a bound variable of the caller).
@@ -174,7 +188,7 @@ void ProblemGraphShaper::OrderAndBind(OrNode* node) const {
         size_t best = 0;
         double best_cost = std::numeric_limits<double>::infinity();
         for (size_t i = 0; i < subs.size(); ++i) {
-          const double cost = EstimateGoal(*subs[i], bound);
+          const double cost = EstimateGoal(*subs[i], bound, residency);
           if (cost < best_cost) {
             best_cost = cost;
             best = i;
@@ -209,7 +223,7 @@ void ProblemGraphShaper::OrderAndBind(OrNode* node) const {
       for (const std::string& v : sub->goal.Variables()) {
         if (bound.count(v) > 0) sub->bound_vars.insert(v);
       }
-      OrderAndBind(sub.get());
+      OrderAndBind(sub.get(), residency);
       for (const std::string& v : sub->goal.Variables()) bound.insert(v);
     }
   }

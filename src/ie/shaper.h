@@ -1,6 +1,10 @@
 #ifndef BRAID_IE_SHAPER_H_
 #define BRAID_IE_SHAPER_H_
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cms/cache_model.h"
 #include "common/status.h"
 #include "dbms/database.h"
@@ -8,6 +12,13 @@
 #include "logic/knowledge_base.h"
 
 namespace braid::ie {
+
+/// The cache-residency answers (CacheModel::HasMaterializedFor) one
+/// shaping consulted: one per predicate, in first-consulted order. Beyond
+/// the knowledge base, the schema and the configuration, they are all a
+/// shaping depends on, so a shaping stays valid while every bit still
+/// holds.
+using ResidencyBits = std::vector<std::pair<std::string, bool>>;
 
 struct ShaperConfig {
   bool cull = true;     // evaluate ground built-ins, drop dead alternatives
@@ -41,7 +52,9 @@ class ProblemGraphShaper {
       : kb_(kb), schema_(schema), config_(config),
         cache_model_(cache_model) {}
 
-  Status Shape(ProblemGraph* graph) const;
+  /// Shapes `graph` in place. The cache model is asked at most once per
+  /// predicate; with `consulted` non-null, the answers are appended there.
+  Status Shape(ProblemGraph* graph, ResidencyBits* consulted = nullptr) const;
 
  private:
   /// Bottom-up culling. Returns false if the node cannot succeed (caller
@@ -49,11 +62,15 @@ class ProblemGraphShaper {
   bool Cull(OrNode* node) const;
 
   /// Top-down: reorders each AND body and assigns binding patterns.
-  void OrderAndBind(OrNode* node) const;
+  void OrderAndBind(OrNode* node, ResidencyBits* residency) const;
 
   /// Estimated result cardinality of a subgoal given bound variables.
-  double EstimateGoal(const OrNode& node,
-                      const std::set<std::string>& bound) const;
+  double EstimateGoal(const OrNode& node, const std::set<std::string>& bound,
+                      ResidencyBits* residency) const;
+
+  /// Whether `predicate` has cache-resident data: the answer already in
+  /// `residency`, else the cache model's, recorded there.
+  bool Resident(const std::string& predicate, ResidencyBits* residency) const;
 
   void MarkMutex(OrNode* node) const;
 

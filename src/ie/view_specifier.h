@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "advice/advice.h"
 #include "advice/view_spec.h"
 #include "common/status.h"
 #include "ie/problem_graph.h"
@@ -28,6 +29,8 @@ struct RuleItem {
   // kCall / kBuiltin:
   logic::Atom call;       // original-variable atom
   size_t body_index = 0;  // position in the rule's original body
+
+  bool operator==(const RuleItem& other) const = default;
 };
 
 /// The per-rule plan the inference strategies execute: items in producer-
@@ -37,6 +40,8 @@ struct RulePlan {
   std::string rule_id;
   logic::Atom head;              // original rule head
   std::vector<RuleItem> items;
+
+  bool operator==(const RulePlan& other) const = default;
 };
 
 /// The view specifier's output: the view specifications (advice) plus the
@@ -51,6 +56,15 @@ struct ViewSpecification {
     }
     return nullptr;
   }
+};
+
+/// What answering keeps of a pre-analysis: the rule plans the strategy
+/// walks and the advice compiled for the CMS (which holds the view
+/// specifications), without the problem graph. Immutable; the inference
+/// engine's memo and every Ask it served share one by pointer.
+struct CompiledPreanalysis {
+  std::map<std::string, RulePlan> rule_plans;  // by rule id
+  advice::CompiledAdvicePtr advice;
 };
 
 struct ViewSpecifierConfig {

@@ -1,6 +1,7 @@
 #include "logic/knowledge_base.h"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 
 #include "common/strings.h"
@@ -58,6 +59,7 @@ Status KnowledgeBase::AddAggregateRule(AggregateRule rule) {
         StrCat("aggregate variable ", rule.agg_var, " not in body"));
   }
   aggregate_rules_.emplace(rule.head_predicate, std::move(rule));
+  Bump();
   return Status::Ok();
 }
 
@@ -73,6 +75,7 @@ Status KnowledgeBase::DeclareBaseRelation(
     return Status::AlreadyExists(StrCat("base relation ", name));
   }
   (void)it;
+  Bump();
   return Status::Ok();
 }
 
@@ -89,7 +92,13 @@ Status KnowledgeBase::AddRule(Rule rule) {
   }
   rules_by_predicate_[rule.head.predicate].push_back(rule);
   all_rules_.push_back(std::move(rule));
+  Bump();
   return Status::Ok();
+}
+
+void KnowledgeBase::Bump() {
+  static std::atomic<uint64_t> next_version{1};
+  version_ = next_version.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<std::vector<std::string>> KnowledgeBase::BaseRelationAttributes(

@@ -1,6 +1,7 @@
 #ifndef BRAID_LOGIC_KNOWLEDGE_BASE_H_
 #define BRAID_LOGIC_KNOWLEDGE_BASE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -80,12 +81,15 @@ class KnowledgeBase {
 
   void AddMutualExclusion(MutualExclusionSoa soa) {
     mutex_soas_.push_back(std::move(soa));
+    Bump();
   }
   void AddFunctionalDependency(FunctionalDependencySoa soa) {
     fd_soas_.push_back(std::move(soa));
+    Bump();
   }
   void AddRecursiveStructure(RecursiveStructureSoa soa) {
     recursive_soas_.push_back(std::move(soa));
+    Bump();
   }
 
   /// Registers an aggregate rule; the head predicate must be otherwise
@@ -143,7 +147,17 @@ class KnowledgeBase {
   /// Renders the whole knowledge base as re-parseable text.
   std::string ToString() const;
 
+  /// Content version: changes with every successful mutation. Versions
+  /// are drawn from one process-wide sequence, so no two contents of any
+  /// knowledge bases share one, even when a knowledge base object is
+  /// reassigned; a fresh, empty knowledge base is version 0. The IE keys
+  /// its memoized pre-analyses on it.
+  uint64_t version() const { return version_; }
+
  private:
+  /// Moves to a fresh version after a mutation.
+  void Bump();
+
   std::map<std::string, std::vector<std::string>> base_relations_;
   std::vector<Rule> all_rules_;
   std::map<std::string, std::vector<Rule>> rules_by_predicate_;
@@ -152,6 +166,7 @@ class KnowledgeBase {
   std::vector<RecursiveStructureSoa> recursive_soas_;
   std::map<std::string, AggregateRule> aggregate_rules_;
   int next_rule_number_ = 1;
+  uint64_t version_ = 0;
   static const std::vector<Rule> kNoRules;
 };
 

@@ -466,6 +466,7 @@ std::string ReproCommand(const DiffOptions& opts) {
              opts.num_queries, " --threads ", opts.num_threads, " --prefetch ",
              opts.prefetch ? (opts.prefetch_async ? "async" : "sync") : "off",
              " --faults ", opts.faults ? "on" : "off");
+  cmd += StrCat(" --budget ", opts.cache_budget_bytes);
   if (opts.sessions > 1) cmd += StrCat(" --sessions ", opts.sessions);
   if (opts.open_loop) {
     cmd += StrCat(" --open-loop --rate ",
@@ -485,7 +486,7 @@ std::string ReproCommand(const DiffOptions& opts) {
 }
 
 DiffReport RunSeedMatrix(uint64_t seed, size_t num_queries, bool with_faults,
-                         DiffOptions* failing) {
+                         DiffOptions* failing, size_t cache_budget_bytes) {
   struct Cell {
     size_t threads;
     bool prefetch;
@@ -516,6 +517,7 @@ DiffReport RunSeedMatrix(uint64_t seed, size_t num_queries, bool with_faults,
     DiffOptions opts;
     opts.seed = seed;
     opts.num_queries = num_queries;
+    opts.cache_budget_bytes = cache_budget_bytes;
     opts.num_threads = cell.threads;
     opts.prefetch = cell.prefetch;
     opts.prefetch_async = cell.prefetch_async;

@@ -46,7 +46,10 @@ struct DiffOptions {
   /// on-vs-off equality (through the shared oracle) stays pinned, and the
   /// catalog consistency check above covers derived elements too.
   bool intermediates = true;
-  /// Small enough that eviction happens on realistic workloads.
+  /// Cache budget of the system side. The default holds every generated
+  /// workload without evicting; `braid_difftest --budget 2048` evicts on
+  /// every seed, which is how the CI cells check answers and invariants
+  /// across evictions.
   size_t cache_budget_bytes = 256ull << 10;
 
   /// Open-loop overload cell (DESIGN.md §13): arrivals follow a seeded
@@ -125,11 +128,13 @@ std::string ReproCommand(const DiffOptions& opts);
 
 /// Runs the standard configuration matrix for one seed — threads {1, 8} ×
 /// prefetch {off, sync, async}, plus a fault-injected configuration —
-/// and returns the first failing report (or the last passing one). When
-/// `failing` is non-null it receives the options of the failing cell.
-DiffReport RunSeedMatrix(uint64_t seed, size_t num_queries = 24,
-                         bool with_faults = true,
-                         DiffOptions* failing = nullptr);
+/// every cell at `cache_budget_bytes`, and returns the first failing
+/// report (or the last passing one). When `failing` is non-null it
+/// receives the options of the failing cell.
+DiffReport RunSeedMatrix(
+    uint64_t seed, size_t num_queries = 24, bool with_faults = true,
+    DiffOptions* failing = nullptr,
+    size_t cache_budget_bytes = DiffOptions{}.cache_budget_bytes);
 
 }  // namespace braid::testing
 

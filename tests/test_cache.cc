@@ -89,10 +89,23 @@ TEST(CacheModel, CanonicalKeyLookup) {
   CacheModel model;
   auto e = MakeElement("E1", "d(X, Y) :- b(X, Y)", 2);
   model.Register(e);
-  const std::string key =
-      ParseCaql("d(P, Q) :- b(P, Q)").value().CanonicalKey();
+  const caql::QueryKey key = ParseCaql("d(P, Q) :- b(P, Q)").value().Key();
   EXPECT_EQ(model.ByCanonicalKey(key), e);
-  EXPECT_EQ(model.ByCanonicalKey("nope"), nullptr);
+  EXPECT_EQ(model.ByCanonicalKey(caql::QueryKey::Of("nope")), nullptr);
+}
+
+TEST(CacheModel, ExactProbeConfirmsTheKeyText) {
+  CacheModel model;
+  auto e = MakeElement("E1", "d(X, Y) :- b(X, Y)", 2);
+  model.Register(e);
+  EXPECT_EQ(model.ByCanonicalKey(e->key()), e);
+  // Same hash, different text: a colliding key must miss.
+  caql::QueryKey colliding = e->key();
+  colliding.text += "&b(V0,V1)";
+  EXPECT_EQ(model.ByCanonicalKey(colliding), nullptr);
+  // Removal takes the element out of the index.
+  model.Remove("E1");
+  EXPECT_EQ(model.ByCanonicalKey(e->key()), nullptr);
 }
 
 TEST(CacheManager, InsertWithinBudget) {
@@ -114,11 +127,12 @@ TEST(CacheManager, EvictsLruWhenFull) {
   auto probe = MakeElement("P", "d(X, Y) :- b(X, Y)", 20);
   const size_t budget = probe->ByteSize() * 2 + 64;
   CacheManager mgr(budget, 4);
-  ASSERT_TRUE(mgr.Insert(MakeElement("E1", "d1(X, Y) :- b1(X, Y)", 20)));
+  auto e1 = MakeElement("E1", "d1(X, Y) :- b1(X, Y)", 20);
+  ASSERT_TRUE(mgr.Insert(e1));
   mgr.Tick();
   ASSERT_TRUE(mgr.Insert(MakeElement("E2", "d2(X, Y) :- b2(X, Y)", 20)));
   mgr.Tick();
-  mgr.Touch("E1");  // E1 now more recently used than E2.
+  mgr.Touch(*e1);  // E1 now more recently used than E2.
   mgr.Tick();
   ASSERT_TRUE(mgr.Insert(MakeElement("E3", "d3(X, Y) :- b3(X, Y)", 20)));
   EXPECT_EQ(mgr.stats().evictions, 1u);
@@ -140,9 +154,10 @@ TEST(CacheManager, AdviceProtectsPredictedElement) {
       });
   ASSERT_TRUE(mgr.Insert(MakeElement("E1", "d1(X, Y) :- b1(X, Y)", 20, "d1")));
   mgr.Tick();
-  ASSERT_TRUE(mgr.Insert(MakeElement("E2", "d2(X, Y) :- b2(X, Y)", 20, "d2")));
+  auto e2 = MakeElement("E2", "d2(X, Y) :- b2(X, Y)", 20, "d2");
+  ASSERT_TRUE(mgr.Insert(e2));
   mgr.Tick();
-  mgr.Touch("E2");
+  mgr.Touch(*e2);
   mgr.Tick();
   ASSERT_TRUE(mgr.Insert(MakeElement("E3", "d3(X, Y) :- b3(X, Y)", 20, "d3")));
   // Plain LRU would evict E1 (least recently used); advice protects it.
@@ -152,11 +167,11 @@ TEST(CacheManager, AdviceProtectsPredictedElement) {
 
 TEST(CacheManager, TouchUpdatesHitCount) {
   CacheManager mgr(1 << 20, 4);
-  ASSERT_TRUE(mgr.Insert(MakeElement("E1", "d(X, Y) :- b(X, Y)", 5)));
-  mgr.Touch("E1");
-  mgr.Touch("E1");
+  auto e1 = MakeElement("E1", "d(X, Y) :- b(X, Y)", 5);
+  ASSERT_TRUE(mgr.Insert(e1));
+  mgr.Touch(*e1);
+  mgr.Touch(*e1);
   EXPECT_EQ(mgr.model().Find("E1")->stats().hits, 2u);
-  mgr.Touch("nonexistent");  // No crash.
 }
 
 TEST(CacheManager, MultipleEvictionsToFit) {

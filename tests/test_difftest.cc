@@ -350,6 +350,26 @@ TEST(DifftestSessions, ReproCommandNamesTheSessionCount) {
   EXPECT_NE(ReproCommand(opts).find("--sessions 8"), std::string::npos);
 }
 
+TEST(DifftestSmoke, ReproCommandNamesTheBudget) {
+  DiffOptions opts;
+  opts.cache_budget_bytes = 2048;
+  EXPECT_NE(ReproCommand(opts).find("--budget 2048"), std::string::npos);
+}
+
+// The matrix at a 2 KiB budget: every cell evicts, and answers and
+// invariants still hold across the evictions.
+TEST(DifftestSmoke, MatrixAtSmallBudgetEvicts) {
+  for (uint64_t seed : {0, 1}) {
+    DiffOptions failing;
+    const DiffReport report =
+        RunSeedMatrix(seed, /*num_queries=*/16, /*with_faults=*/false,
+                      &failing, /*cache_budget_bytes=*/2048);
+    ASSERT_TRUE(report.ok) << report.Summary() << "\nrepro: "
+                           << ReproCommand(failing);
+    EXPECT_GT(report.evictions, 0u) << report.Summary();
+  }
+}
+
 // Regression: the exact seed/stream where the harness first caught the
 // missing SETOF guard in subsumption (a cached distinct element serving
 // a bag query returned 14 of 32 rows).

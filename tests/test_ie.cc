@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "caql/caql_query.h"
 #include "cms/advice_manager.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "ie/inference_engine.h"
 #include "logic/parser.h"
 #include "workload/generators.h"
@@ -403,7 +411,7 @@ TEST(AdviceManagerTest, GeneralizationTriggersFromCrossViewSubsumption) {
              advice::AnnotatedVar{"Y", advice::Binding::kProducer}};
   d3.body = {Atom("b1", {logic::Term::Var("Z"), logic::Term::Var("Y")})};
   advice.view_specs = {d1, d3};
-  mgr.BeginSession(advice);
+  mgr.BeginSession(advice::Compile(advice));
 
   caql::CaqlQuery instance = d1.AsCaql();
   EXPECT_TRUE(mgr.ShouldGeneralize("d1", instance));
@@ -425,7 +433,7 @@ TEST(AdviceManagerTest, NoFutureOccurrenceMeansDoNotCache) {
       {advice::PathExpr::Pattern("d1", {}),
        advice::PathExpr::Pattern("d2", {})},
       advice::RepBound::Fixed(1), advice::RepBound::Fixed(1));
-  mgr.BeginSession(advice);
+  mgr.BeginSession(advice::Compile(advice));
   mgr.OnQuery("d1");
   // d1 cannot recur; d2 can still appear.
   EXPECT_FALSE(mgr.ShouldCacheResult("d1"));
@@ -598,6 +606,226 @@ p(X, Y) :- b(X), const_fact(Y).
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->solutions.NumTuples(), 1u);
   EXPECT_EQ(out->solutions.tuple(0)[1], Value::Int(42));
+}
+
+// ---------------------------------------------------------------------------
+// Pre-analysis memo: a memoized Ask must run on exactly what a fresh
+// pre-analysis would produce, however the cache, the knowledge base and
+// the configuration move between Asks.
+
+/// Rows of `r`, sorted: answers compared as bags, since a different
+/// shaping may produce them in another order.
+std::vector<rel::Tuple> SortedRows(const rel::Relation& r) {
+  std::vector<rel::Tuple> rows = r.tuples();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+struct MemoScenario {
+  dbms::Database db;
+  std::string kb_text;
+  /// Goal predicates with their arities.
+  std::vector<std::pair<std::string, size_t>> goals;
+  /// Base relations whose residency the test flips.
+  std::vector<std::pair<std::string, size_t>> bases;
+  /// Rules added one at a time as knowledge-base edits.
+  std::vector<std::string> added_rules;
+  logic::FunctionalDependencySoa added_fd;
+};
+
+/// Random Asks over `scenario`, drawn from a small pool of random goals so
+/// that goals recur. Between Asks the test flips the residency of base relations
+/// (installing or evicting their cache elements), edits the knowledge base
+/// and changes the configuration. Every Ask's advice and rule plans must
+/// equal a fresh Analyze taken just before it, and its answers those of an
+/// engine with an empty memo.
+void CheckMemoAgainstFresh(MemoScenario scenario, uint64_t seed) {
+  dbms::RemoteDbms remote(std::move(scenario.db));
+  cms::CmsConfig cms_config;
+  cms_config.enable_parallel = false;  // deterministic: no background
+  cms_config.prefetch_async = false;   // installs between two steps
+  cms::Cms cms(&remote, cms_config);
+  logic::KnowledgeBase kb = Kb(scenario.kb_text);
+  InferenceEngine engine(&kb, &cms);
+  Rng rng(seed);
+  size_t next_rule = 0;
+  bool fd_added = false;
+  size_t memo_hits = 0;
+  std::map<std::string, const CompiledPreanalysis*> last_used;
+  // A small pool of random goals, so that goals recur: one per goal
+  // predicate (every knowledge-base edit then touches a pooled goal), plus
+  // a few more.
+  std::vector<Atom> pool;
+  for (size_t g = 0; g < scenario.goals.size() + 4; ++g) {
+    const auto& [predicate, arity] =
+        scenario.goals[g < scenario.goals.size()
+                           ? g
+                           : rng.Uniform(0, scenario.goals.size() - 1)];
+    std::vector<logic::Term> args;
+    for (size_t i = 0; i < arity; ++i) {
+      args.push_back(rng.Bernoulli(0.5)
+                         ? logic::Term::Var(StrCat("A", i))
+                         : logic::Term::Int(rng.Uniform(0, 4)));
+    }
+    pool.emplace_back(predicate, std::move(args));
+  }
+
+  for (int step = 0; step < 120; ++step) {
+    const int64_t action = rng.Uniform(0, 9);
+    if (action <= 2) {
+      // Flip a base relation's residency.
+      const auto& [base, arity] =
+          scenario.bases[rng.Uniform(0, scenario.bases.size() - 1)];
+      if (cms.cache().model().HasMaterializedFor(base)) {
+        for (const cms::CacheElementPtr& e :
+             cms.cache().model().ByPredicate(base)) {
+          cms.cache().model().Remove(e->id());
+        }
+        ASSERT_FALSE(cms.cache().model().HasMaterializedFor(base));
+      } else {
+        std::vector<std::string> vars;
+        for (size_t i = 0; i < arity; ++i) vars.push_back(StrCat("V", i));
+        const std::string args = StrJoin(vars, ", ");
+        auto q = caql::ParseCaql(StrCat("w_", base, "(", args, ") :- ", base,
+                                        "(", args, ")"));
+        ASSERT_TRUE(q.ok());
+        ASSERT_TRUE(cms.Query(*q).ok());
+        ASSERT_TRUE(cms.cache().model().HasMaterializedFor(base));
+      }
+    } else if (action == 3) {
+      if (next_rule < scenario.added_rules.size()) {
+        auto rule = logic::ParseRuleText(scenario.added_rules[next_rule++]);
+        ASSERT_TRUE(rule.ok());
+        ASSERT_TRUE(kb.AddRule(*rule).ok());
+      } else if (!fd_added) {
+        kb.AddFunctionalDependency(scenario.added_fd);
+        fd_added = true;
+      }
+    } else if (action == 4) {
+      IeConfig config = engine.config();
+      switch (rng.Uniform(0, 2)) {
+        case 0:
+          config.shaper_reorder = !config.shaper_reorder;
+          break;
+        case 1:
+          config.max_conjunction_size =
+              static_cast<size_t>(rng.Uniform(1, 3));
+          break;
+        default:
+          config.send_path_expression = !config.send_path_expression;
+          break;
+      }
+      engine.set_config(config);
+    }
+
+    const Atom& goal = pool[rng.Uniform(0, pool.size() - 1)];
+    SCOPED_TRACE(StrCat("step ", step, ": ", goal.ToString()));
+
+    auto fresh = engine.Analyze(goal);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    auto asked = engine.Ask(goal);
+    // The Ask's installs may flip residency, so the reference engine can
+    // shape the goal differently. Some shapings fail on a built-in whose
+    // variables are not yet bound; statuses must agree when the two
+    // pre-analyses do, and answers whenever both succeed.
+    auto reference_pre = engine.Analyze(goal);
+    ASSERT_TRUE(reference_pre.ok());
+    InferenceEngine unmemoized(&kb, &cms, engine.config());
+    auto reference = unmemoized.Ask(goal);
+    if (reference_pre->advice.ToString() == fresh->advice.ToString() &&
+        reference_pre->spec.rule_plans == fresh->spec.rule_plans) {
+      ASSERT_EQ(asked.status().ToString(), reference.status().ToString());
+    }
+    if (!asked.ok()) continue;
+    const CompiledPreanalysis*& last = last_used[goal.ToString()];
+    if (last == asked->preanalysis.get()) ++memo_hits;
+    last = asked->preanalysis.get();
+    EXPECT_EQ(asked->advice().ToString(), fresh->advice.ToString());
+    EXPECT_TRUE(asked->preanalysis->rule_plans == fresh->spec.rule_plans);
+    if (reference.ok()) {
+      EXPECT_EQ(SortedRows(asked->solutions),
+                SortedRows(reference->solutions));
+    }
+  }
+  // The walk must exercise reuse, not only fresh analyses.
+  EXPECT_GT(memo_hits, 20u);
+}
+
+TEST(PreanalysisMemo, MatchesFreshAnalysisOnGenealogy) {
+  workload::GenealogyParams params;
+  params.people = 40;
+  MemoScenario scenario;
+  scenario.db = workload::MakeGenealogyDatabase(params);
+  // `kin` joins two different base relations of about the same size, so
+  // caching either one reorders its body.
+  scenario.kb_text = workload::GenealogyKb() +
+                     "kin(X, A) :- person(X, A, C), parent(X, P).\n";
+  scenario.goals = {{"ancestor", 2},  {"grandparent", 2}, {"greatgrand", 2},
+                    {"sibling", 2},   {"elder", 2},       {"townsfolk", 2},
+                    {"kin", 2}};
+  scenario.bases = {{"parent", 2}, {"person", 3}};
+  scenario.added_rules = {
+      "kin(X, A) :- parent(X, P), person(P, A, C).",
+      "sibling(X, Y) :- parent(Y, X), parent(X, Y).",
+      "grandparent(X, Y) :- parent(X, Y), person(Y, A, C), A > 90.",
+      "townsfolk(X, Y) :- parent(X, Y), parent(Y, X)."};
+  scenario.added_fd = logic::FunctionalDependencySoa{"parent", {0}, {1}};
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    CheckMemoAgainstFresh(scenario, seed);
+  }
+}
+
+TEST(PreanalysisMemo, MatchesFreshAnalysisOnSuppliers) {
+  workload::SupplierParams params;
+  params.suppliers = 20;
+  params.parts = 40;
+  params.supplies = 1200;  // more than a derived goal's 1000-row guess
+  MemoScenario scenario;
+  scenario.db = workload::MakeSupplierDatabase(params);
+  scenario.kb_text = workload::SupplierKb();
+  scenario.goals = {{"supplier_of", 2},    {"co_located", 2},
+                    {"heavy_part", 1},     {"light_part", 1},
+                    {"heavy_supplier", 2}, {"light_supplier", 2},
+                    {"bulk_supply", 2},    {"second_source", 3},
+                    {"single_sourced", 1}};
+  scenario.bases = {{"supplier", 2}, {"part", 3}, {"supplies", 3}};
+  scenario.added_rules = {
+      "heavy_supplier(S, P) :- supplies(S, P, Q), part(P, C, W), W > 90.",
+      "co_located(S1, S2) :- supplies(S1, P, Q), supplies(S2, P, R), "
+      "S1 != S2.",
+      "bulk_supply(S, P) :- supplies(S, P, Q), part(P, C, W), Q > W.",
+      "supplier_of(P, S) :- supplier(S, C), supplies(S, P, Q), Q < 10."};
+  scenario.added_fd = logic::FunctionalDependencySoa{"supplies", {0, 1}, {2}};
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    CheckMemoAgainstFresh(scenario, seed);
+  }
+}
+
+TEST(PreanalysisMemo, RepeatedGoalReusesOneEntry) {
+  workload::GenealogyParams params;
+  params.people = 40;
+  dbms::RemoteDbms remote(workload::MakeGenealogyDatabase(params));
+  cms::Cms cms(&remote, cms::CmsConfig{});
+  logic::KnowledgeBase kb = Kb(workload::GenealogyKb());
+  InferenceEngine engine(&kb, &cms);
+  auto first = engine.Ask("grandparent(7, Y)?");
+  ASSERT_TRUE(first.ok());
+  // The first Ask cached `parent` data, which flips the residency bit its
+  // shaping consulted: the second Ask re-analyzes and replaces the entry.
+  auto second = engine.Ask("grandparent(7, Y)?");
+  ASSERT_TRUE(second.ok());
+  auto third = engine.Ask("grandparent(7, Y)?");
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(engine.memo_size(), 1u);
+  EXPECT_EQ(third->preanalysis, second->preanalysis);  // shared, not rebuilt
+  // A knowledge-base edit invalidates the entry.
+  kb.AddFunctionalDependency(logic::FunctionalDependencySoa{"parent", {0}, {1}});
+  auto fourth = engine.Ask("grandparent(7, Y)?");
+  ASSERT_TRUE(fourth.ok());
+  EXPECT_NE(fourth->preanalysis, third->preanalysis);
+  EXPECT_EQ(engine.memo_size(), 1u);
 }
 
 }  // namespace

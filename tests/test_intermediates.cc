@@ -130,12 +130,13 @@ TEST(IntermediateEviction, DerivedEvictedBeforeAdvisedElements) {
 
   ASSERT_TRUE(mgr.Insert(MakeElement("advised", "a(X, Y) :- b1(X, Y)", 32)));
   mgr.Tick();
-  ASSERT_TRUE(mgr.InsertIntermediate(
-      MakeElement("derived", "d(X, Y) :- b2(X, Y)", 32, /*derived=*/true)));
+  auto derived =
+      MakeElement("derived", "d(X, Y) :- b2(X, Y)", 32, /*derived=*/true);
+  ASSERT_TRUE(mgr.InsertIntermediate(derived));
   mgr.Tick();
   // Make the derived element the most recently used: plain LRU would now
   // pick `advised` as the victim; the derived-first rank must not.
-  mgr.Touch("derived");
+  mgr.Touch(*derived);
   mgr.Tick();
   ASSERT_TRUE(mgr.Insert(MakeElement("E3", "c(X, Y) :- b3(X, Y)", 32)));
   ASSERT_TRUE(mgr.Insert(MakeElement("E4", "e(X, Y) :- b4(X, Y)", 32)));

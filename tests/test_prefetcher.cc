@@ -201,13 +201,13 @@ TEST(Prefetcher, JudgeSpeculativeVerdicts) {
   auto small = [] { return 100.0; };
 
   Plan plan;
-  EXPECT_EQ(JudgeSpeculative(model, planner, general, small, 1 << 20,
-                             /*skip_if_fully_local=*/true, &plan),
+  EXPECT_EQ(JudgeSpeculative(model, planner, general, general.Key(), small,
+                             1 << 20, /*skip_if_fully_local=*/true, &plan),
             SpeculativeAdmission::kAdmit);
   ASSERT_EQ(plan.sources.size(), 1u);
   EXPECT_EQ(plan.sources[0].kind, PlanSource::Kind::kRemote);
 
-  EXPECT_EQ(JudgeSpeculative(model, planner, general,
+  EXPECT_EQ(JudgeSpeculative(model, planner, general, general.Key(),
                              [] { return 1e9; }, 1 << 20, true),
             SpeculativeAdmission::kTooLarge);
 
@@ -217,7 +217,8 @@ TEST(Prefetcher, JudgeSpeculativeVerdicts) {
   bad.head_args = {logic::Term::Var("Z")};
   bad.body = {logic::Atom("b1", {logic::Term::Var("X"),
                                  logic::Term::Var("Y")})};
-  EXPECT_EQ(JudgeSpeculative(model, planner, bad, small, 1 << 20, true),
+  EXPECT_EQ(JudgeSpeculative(model, planner, bad, bad.Key(), small, 1 << 20,
+                             true),
             SpeculativeAdmission::kUnplannable);
 
   // Cache b1's full extension: the same general form is now an exact
@@ -226,13 +227,15 @@ TEST(Prefetcher, JudgeSpeculativeVerdicts) {
   ext.AppendUnchecked({Value::Int(1), Value::Int(2)});
   model.Register(std::make_shared<CacheElement>(
       model.NextId(), general, std::make_shared<rel::Relation>(ext)));
-  EXPECT_EQ(JudgeSpeculative(model, planner, general, small, 1 << 20, true),
+  EXPECT_EQ(JudgeSpeculative(model, planner, general, general.Key(), small,
+                             1 << 20, true),
             SpeculativeAdmission::kAlreadyCached);
-  EXPECT_EQ(JudgeSpeculative(model, planner, Q("n(Y) :- b1(2, Y)"), small,
+  const CaqlQuery narrow = Q("n(Y) :- b1(2, Y)");
+  EXPECT_EQ(JudgeSpeculative(model, planner, narrow, narrow.Key(), small,
                              1 << 20, /*skip_if_fully_local=*/true),
             SpeculativeAdmission::kFullyLocal);
   // Generalization has no fully-local skip: the same query is admitted.
-  EXPECT_EQ(JudgeSpeculative(model, planner, Q("n(Y) :- b1(2, Y)"), small,
+  EXPECT_EQ(JudgeSpeculative(model, planner, narrow, narrow.Key(), small,
                              1 << 20, /*skip_if_fully_local=*/false),
             SpeculativeAdmission::kAdmit);
 }
@@ -266,6 +269,41 @@ TEST(Prefetcher, AdmissionRejectionsAreMemoizedUntilCacheChanges) {
   cms.cache().Insert(std::make_shared<CacheElement>(
       cms.cache().model().NextId(), Q("tiny(X) :- b1(X, 0)"),
       std::make_shared<rel::Relation>(std::move(tiny))));
+  ASSERT_TRUE(cms.Query(Q("d1(X, Y) :- b1(X, Y)")).ok());
+  EXPECT_EQ(reg.CounterValue("prefetch.rejected"), rejected_before + 2);
+  EXPECT_EQ(reg.CounterValue("prefetch.memo_hits"), memo_before + 1);
+}
+
+TEST(Prefetcher, RejectionMemoSurvivesBeginSession) {
+  // A verdict depends on the query and the cache, not on the advice: a
+  // new session keeps the memo while the cache version holds.
+  dbms::RemoteDbms remote(TestDb());
+  CmsConfig config;
+  config.cache_budget_bytes = 500;  // nothing here fits: version stays put
+  Cms cms(&remote, config);
+  cms.BeginSession(D1ThenD2Advice());
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const uint64_t rejected_before = reg.CounterValue("prefetch.rejected");
+  const uint64_t memo_before = reg.CounterValue("prefetch.memo_hits");
+  ASSERT_TRUE(cms.Query(Q("d1(X, Y) :- b1(X, Y)")).ok());
+  EXPECT_EQ(reg.CounterValue("prefetch.rejected"), rejected_before + 1);
+
+  // New session, same cache version: the memoized rejection answers.
+  const uint64_t version = cms.cache().model().version();
+  cms.BeginSession(D1ThenD2Advice());
+  ASSERT_TRUE(cms.Query(Q("d1(X, Y) :- b1(X, Y)")).ok());
+  ASSERT_EQ(cms.cache().model().version(), version);
+  EXPECT_EQ(reg.CounterValue("prefetch.rejected"), rejected_before + 1);
+  EXPECT_EQ(reg.CounterValue("prefetch.memo_hits"), memo_before + 1);
+
+  // A cache change still forces a re-judgement, in the new session too.
+  rel::Relation tiny("t", rel::Schema::FromNames({"X"}));
+  tiny.AppendUnchecked({Value::Int(1)});
+  cms.cache().Insert(std::make_shared<CacheElement>(
+      cms.cache().model().NextId(), Q("tiny(X) :- b1(X, 0)"),
+      std::make_shared<rel::Relation>(std::move(tiny))));
+  cms.BeginSession(D1ThenD2Advice());
   ASSERT_TRUE(cms.Query(Q("d1(X, Y) :- b1(X, Y)")).ok());
   EXPECT_EQ(reg.CounterValue("prefetch.rejected"), rejected_before + 2);
   EXPECT_EQ(reg.CounterValue("prefetch.memo_hits"), memo_before + 1);

@@ -97,7 +97,7 @@ TEST(QuerySorted, ReusesRepresentationOnExactRepeat) {
   auto q = ParseCaql("q(X, Y) :- b1(X, Y)").value();
   ASSERT_TRUE(cms.QuerySorted(q, {"Y"}).ok());  // caches + sorts
   CacheElementPtr element =
-      cms.cache().model().ByCanonicalKey(q.CanonicalKey());
+      cms.cache().model().ByCanonicalKey(q.Key());
   ASSERT_NE(element, nullptr);
   EXPECT_EQ(element->NumSortedRepresentations(), 1u);
   auto before = element->sorted({1});
@@ -139,7 +139,7 @@ TEST(QuerySorted, SortedCopyThatDoesNotFitIsServedNotKept) {
   ExpectSortedOnSecondColumn(*sorted);
   EXPECT_LE(cms.cache().model().TotalBytes(), 10000u);
   CacheElementPtr element =
-      cms.cache().model().ByCanonicalKey(q.CanonicalKey());
+      cms.cache().model().ByCanonicalKey(q.Key());
   ASSERT_NE(element, nullptr);  // the answer itself stays cached
   EXPECT_EQ(element->NumSortedRepresentations(), 0u);
   EXPECT_EQ(cms.cache().model().CheckByteAccounting(), "");
@@ -156,10 +156,10 @@ TEST(QuerySorted, MakesRoomForTheSortedCopyByEvictingOthers) {
   auto sorted = cms.QuerySorted(q, {"Y"});
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
   ExpectSortedOnSecondColumn(*sorted);
-  EXPECT_EQ(cms.cache().model().ByCanonicalKey(other.CanonicalKey()),
+  EXPECT_EQ(cms.cache().model().ByCanonicalKey(other.Key()),
             nullptr);
   CacheElementPtr element =
-      cms.cache().model().ByCanonicalKey(q.CanonicalKey());
+      cms.cache().model().ByCanonicalKey(q.Key());
   ASSERT_NE(element, nullptr);
   EXPECT_EQ(element->NumSortedRepresentations(), 1u);
   EXPECT_LE(cms.cache().model().TotalBytes(), 16000u);

@@ -93,8 +93,8 @@ TEST(CacheModelStripes, SameKeyRegisterDisplacesTheRaceLoser) {
   model.Register(std::make_shared<CacheElement>("E2", def, ext));
   EXPECT_EQ(model.Find("E1"), nullptr);
   ASSERT_NE(model.Find("E2"), nullptr);
-  ASSERT_NE(model.ByCanonicalKey(def.CanonicalKey()), nullptr);
-  EXPECT_EQ(model.ByCanonicalKey(def.CanonicalKey())->id(), "E2");
+  ASSERT_NE(model.ByCanonicalKey(def.Key()), nullptr);
+  EXPECT_EQ(model.ByCanonicalKey(def.Key())->id(), "E2");
   EXPECT_EQ(model.elements().size(), 1u);
 }
 
@@ -381,12 +381,12 @@ PathExprPtr Chain(size_t n) {
                             RepBound::Fixed(1));
 }
 
-advice::AdviceSet Advice(std::vector<std::string> base_relations,
-                         PathExprPtr path = nullptr) {
+advice::CompiledAdvicePtr Advice(std::vector<std::string> base_relations,
+                                 PathExprPtr path = nullptr) {
   advice::AdviceSet advice;
   advice.base_relations = std::move(base_relations);
   advice.path_expression = std::move(path);
-  return advice;
+  return advice::Compile(std::move(advice));
 }
 
 /// A generator-form element: the index reads only its origin view and
@@ -519,7 +519,7 @@ TEST(ReplacementAdviceIndex, QueriesAfterWithdrawPublishNothing) {
 
 /// Random advice over predicates a..d and views v0..v5 (sometimes with
 /// duplicate base relations, sometimes without a path expression).
-advice::AdviceSet RandomAdvice(Rng& rng) {
+advice::CompiledAdvicePtr RandomAdvice(Rng& rng) {
   advice::AdviceSet advice;
   const int64_t relations = rng.Uniform(0, 3);
   for (int64_t i = 0; i < relations; ++i) {
@@ -541,7 +541,7 @@ advice::AdviceSet RandomAdvice(Rng& rng) {
         std::move(members), RepBound::Fixed(rng.Uniform(0, 1)),
         rng.Bernoulli(0.5) ? RepBound::Fixed(1) : RepBound::Cardinality("Y"));
   }
-  return advice;
+  return advice::Compile(std::move(advice));
 }
 
 TEST(ReplacementAdviceIndex, MatchesAdvisedDistanceUnderRandomSessions) {
@@ -660,7 +660,7 @@ TEST(CmsSessions, ClosedSessionNoLongerProtects) {
             .status());
   }
   EXPECT_EQ(cms.cache().model().ByCanonicalKey(
-                Parse("hot(X) :- a(X, 3)").CanonicalKey()),
+                Parse("hot(X) :- a(X, 3)").Key()),
             nullptr);
 }
 
@@ -675,8 +675,7 @@ TEST(CmsSessions, DefaultSessionBeginSessionReplacesAdvice) {
   EXPECT_EQ(cms.CheckReplacementAdvice(), "");
   // New advice: `b` relevant, a path expression over vb. The old
   // contribution must be gone, not added to.
-  advice::AdviceSet over_b = Advice({"b"}, Chain(2));
-  cms.BeginSession(over_b);
+  cms.BeginSession(Advice({"b"}, Chain(2)));
   EXPECT_EQ(cms.CheckReplacementAdvice(), "");
   BRAID_CHECK_OK(cms.Query(Parse("v0(X, Y) :- b(X, Y)")).status());
   EXPECT_EQ(cms.CheckReplacementAdvice(), "");

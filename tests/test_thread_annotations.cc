@@ -191,9 +191,10 @@ TEST(CacheManagerConcurrency, ParallelInsertsHoldTheBudgetWithNoLostUpdates) {
       for (int i = 0; i < kInsertsPerThread; ++i) {
         const std::string tag =
             "d" + std::to_string(w) + "_" + std::to_string(i);
-        EXPECT_TRUE(manager.Insert(MakeManagerElement(
-            "E_" + tag, tag + "(X, Y) :- b" + tag + "(X, Y)", 8)));
-        manager.Touch("E_" + tag);
+        auto element = MakeManagerElement(
+            "E_" + tag, tag + "(X, Y) :- b" + tag + "(X, Y)", 8);
+        EXPECT_TRUE(manager.Insert(element));
+        manager.Touch(*element);
         manager.Tick();
       }
     });

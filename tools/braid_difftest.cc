@@ -11,6 +11,7 @@
 //   braid_difftest --seed 17 --threads 8    # one seed, one configuration
 //   braid_difftest --seed 17 --keep 3,9     # replay a minimized stream
 //   braid_difftest --seeds 0:400 --shard 2/8
+//   braid_difftest --budget 2048 --seeds 0:40   # matrix at a budget that evicts
 
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +39,7 @@ struct CliArgs {
   size_t num_queries = 24;
   size_t num_threads = 1;
   size_t sessions = 1;
+  size_t budget = braid::testing::DiffOptions{}.cache_budget_bytes;
   std::string prefetch = "async";  // off | sync | async
   bool faults = false;
   bool open_loop = false;
@@ -64,6 +66,9 @@ void Usage() {
       "  --sessions N        N concurrent sessions share the CMS, each\n"
       "                      replaying the stream rotated by its index\n"
       "                      through the session scheduler (default 1)\n"
+      "  --budget BYTES      cache budget of the system side, for the\n"
+      "                      explicit config and every matrix cell\n"
+      "                      (default 262144; 2048 evicts on every seed)\n"
       "  --prefetch MODE     off | sync | async (default async)\n"
       "  --faults on|off     fault-injected remote link (default off)\n"
       "  --open-loop         replay as open-loop Poisson arrivals under a\n"
@@ -134,6 +139,11 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->sessions = static_cast<size_t>(std::strtoull(v, nullptr, 10));
       if (args->sessions == 0) return false;
       args->single_config = true;
+    } else if (arg == "--budget") {
+      const char* v = next();
+      if (v == nullptr) return false;
+      args->budget = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (args->budget == 0) return false;
     } else if (arg == "--prefetch") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -196,6 +206,7 @@ DiffOptions OptionsFor(const CliArgs& args, uint64_t seed) {
   opts.num_queries = args.num_queries;
   opts.num_threads = args.num_threads;
   opts.sessions = args.sessions;
+  opts.cache_budget_bytes = args.budget;
   opts.prefetch = args.prefetch != "off";
   opts.prefetch_async = args.prefetch == "async";
   opts.caching = args.caching;
@@ -266,7 +277,7 @@ int main(int argc, char** argv) {
       DiffOptions failing;
       DiffReport report =
           RunSeedMatrix(seed, args.num_queries, /*with_faults=*/true,
-                        &failing);
+                        &failing, args.budget);
       if (!report.ok) return HandleFailure(args, report, failing);
       if (seed == args.seed_lo || (seed - args.seed_lo) % 10 == 0) {
         std::printf("%s\n", report.Summary().c_str());
