@@ -1,10 +1,11 @@
 // M1-M4 — google-benchmark micro-benchmarks for the substrate operations
 // the architecture leans on: unification, the subsumption test, hash
-// joins, canonical-key computation, and path-tracker advances. Also the
-// morsel-parallel operator variants (exec::) at several worker counts,
-// with threads=0 rows running the serial rel:: baseline, and two warm
-// end-to-end paths: one exact-hit CMS query, and one IE Ask answered
-// entirely from the cache.
+// joins, the Query Processor's natural-join chain, aggregation,
+// canonical-key computation, and path-tracker advances. Also the
+// morsel-parallel hash join (exec::) at several worker counts, timed by
+// wall clock, with threads=0 rows running the serial rel:: baseline, and
+// two warm end-to-end paths: one exact-hit CMS query, and one IE Ask
+// answered entirely from the cache.
 //
 // Results are written to BENCH_micro.json by default; pass `--json <path>`
 // (or any --benchmark_out=... flag) to override.
@@ -152,7 +153,8 @@ void MakeJoinInputs(int64_t rows, rel::Relation* left, rel::Relation* right) {
 
 // threads == 0 runs the serial rel:: operator as the baseline; otherwise a
 // pool with `threads` workers and a zero threshold forces the parallel
-// path regardless of input size.
+// path regardless of input size. Timed by wall clock: the default CPU
+// time of the main thread omits the workers' time.
 void BM_ParallelHashJoin(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int64_t threads = state.range(1);
@@ -165,21 +167,22 @@ void BM_ParallelHashJoin(benchmark::State& state) {
     ctx.pool = pool.get();
     ctx.parallel_threshold = 0;
   }
+  const std::vector<rel::JoinKey> keys = {rel::JoinKey{0, 0}};
   for (auto _ : state) {
-    rel::Relation out =
-        threads > 0
-            ? exec::HashJoin(ctx, left, right, {rel::JoinKey{0, 0}})
-            : rel::HashJoin(left, right, {rel::JoinKey{0, 0}});
+    rel::Relation out = threads > 0
+                            ? exec::HashJoin(ctx, left, right, keys,
+                                             {0, 1, 2, 3})
+                            : rel::HashJoin(left, right, keys);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_ParallelHashJoin)
-    ->ArgsProduct({{4096, 65536}, {0, 1, 2, 4, 8}});
+    ->ArgsProduct({{4096, 65536}, {0, 1, 2, 4, 8}})
+    ->UseRealTime();
 
-void BM_ParallelAggregate(benchmark::State& state) {
+void BM_Aggregate(benchmark::State& state) {
   const int64_t rows = state.range(0);
-  const int64_t threads = state.range(1);
   Rng rng(13);
   rel::Relation input("in", rel::Schema::FromNames({"g", "v"}));
   for (int64_t i = 0; i < rows; ++i) {
@@ -189,23 +192,43 @@ void BM_ParallelAggregate(benchmark::State& state) {
   const std::vector<size_t> group_by = {0};
   const std::vector<rel::AggSpec> aggs = {
       {rel::AggFn::kSum, 1, "sum_v"}, {rel::AggFn::kCount, 0, "n"}};
-  std::unique_ptr<exec::ThreadPool> pool;
-  exec::ExecContext ctx;
-  if (threads > 0) {
-    pool = std::make_unique<exec::ThreadPool>(static_cast<size_t>(threads));
-    ctx.pool = pool.get();
-    ctx.parallel_threshold = 0;
-  }
   for (auto _ : state) {
-    rel::Relation out = threads > 0
-                            ? exec::Aggregate(ctx, input, group_by, aggs)
-                            : rel::Aggregate(input, group_by, aggs);
+    rel::Relation out = rel::Aggregate(input, group_by, aggs);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_ParallelAggregate)
-    ->ArgsProduct({{4096, 65536}, {0, 1, 2, 4, 8}});
+BENCHMARK(BM_Aggregate)->Arg(4096)->Arg(65536);
+
+/// `relation`'s tuples under column names `vars` — a binding relation.
+rel::Relation Bind(const rel::Relation& relation,
+                   const std::vector<std::string>& vars) {
+  rel::Relation out(relation.name(), rel::Schema::FromNames(vars));
+  out.mutable_tuples() = relation.tuples();
+  return out;
+}
+
+// The serial natural-join chain of `local_join`'s grandparent shape over
+// its data (the 1000-person genealogy): parent(X, Y) * parent(Y, Z), then
+// * person(Z, A, C), whose city column C is a string.
+void BM_NaturalJoin(benchmark::State& state) {
+  workload::GenealogyParams params;
+  params.people = 1000;
+  const dbms::Database db = workload::MakeGenealogyDatabase(params);
+  const rel::Relation xy = Bind(*db.GetTable("parent"), {"X", "Y"});
+  const rel::Relation yz = Bind(*db.GetTable("parent"), {"Y", "Z"});
+  const rel::Relation zac = Bind(*db.GetTable("person"), {"Z", "A", "C"});
+  size_t rows = 0;
+  for (auto _ : state) {
+    cms::LocalWork work;
+    rel::Relation xyz = cms::QueryProcessor::NaturalJoin(xy, yz, &work);
+    rel::Relation out = cms::QueryProcessor::NaturalJoin(xyz, zac, &work);
+    rows = out.NumTuples();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_NaturalJoin);
 
 void BM_PathTrackerAdvance(benchmark::State& state) {
   using advice::PathExpr;

@@ -1,5 +1,6 @@
 #include "caql/caql_query.h"
 
+#include <cstdio>
 #include <functional>
 #include <sstream>
 
@@ -114,6 +115,39 @@ QueryKey QueryKey::Of(std::string text) {
   return key;
 }
 
+namespace {
+
+/// Appends constant `v` so that distinct constants never render alike:
+/// ints in decimal (`42`), strings quoted with `'` and `\` escaped, doubles
+/// as `d` plus 17 significant digits (an exact round trip, never equal to
+/// an int's rendering), NULL as `NULL`.
+void AppendConstant(const rel::Value& v, std::string* out) {
+  switch (v.type()) {
+    case rel::ValueType::kInt:
+      *out += std::to_string(v.AsInt());
+      return;
+    case rel::ValueType::kDouble: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "d%.17g", v.AsDouble());
+      *out += buf;
+      return;
+    }
+    case rel::ValueType::kString:
+      *out += '\'';
+      for (char c : v.AsString()) {
+        if (c == '\'' || c == '\\') *out += '\\';
+        *out += c;
+      }
+      *out += '\'';
+      return;
+    case rel::ValueType::kNull:
+      *out += "NULL";
+      return;
+  }
+}
+
+}  // namespace
+
 std::string CaqlQuery::CanonicalKey() const {
   // Variables are renamed V0, V1, ... by first occurrence; queries hold a
   // handful of distinct variables, so a linear scan beats a map.
@@ -122,7 +156,7 @@ std::string CaqlQuery::CanonicalKey() const {
   out.reserve(64);
   auto canon = [&renamed, &out](const logic::Term& t) {
     if (!t.is_variable()) {
-      out += t.ToString();
+      AppendConstant(t.value(), &out);
       return;
     }
     size_t i = 0;

@@ -92,8 +92,10 @@ struct CaqlQuery {
   }
 
   /// A canonical string with variables renamed V0, V1, ... in order of first
-  /// occurrence. Two queries with the same canonical key are identical up
-  /// to variable renaming — the exact-match fast path of result caching.
+  /// occurrence and constants encoded unambiguously (ints in decimal,
+  /// strings quoted with escapes, doubles tagged and exact). Two queries
+  /// with the same canonical key are identical up to variable renaming —
+  /// the exact-match fast path of result caching.
   std::string CanonicalKey() const;
 
   /// CanonicalKey() with its hash.

@@ -787,10 +787,10 @@ Result<rel::Relation> Cms::Aggregate(const CaqlQuery& query,
     }
     agg_col = *col;
   }
-  return exec::Aggregate(exec_context(), input, group_cols,
-                         {rel::AggSpec{fn, agg_col, agg_var.empty()
-                                                        ? std::string("agg")
-                                                        : agg_var}});
+  return rel::Aggregate(input, group_cols,
+                        {rel::AggSpec{fn, agg_col, agg_var.empty()
+                                                       ? std::string("agg")
+                                                       : agg_var}});
 }
 
 Result<rel::Relation> Cms::QuerySorted(

@@ -90,8 +90,8 @@ Result<rel::Relation> ExecutionMonitor::MaterializeElementSource(
   const std::shared_ptr<const rel::Relation>& ext = element->extension();
 
   // Apply residual selections, using a hash index for the first
-  // column-equals-constant selection when one exists.
-  rel::Relation selected;
+  // column-equals-constant selection when one exists, and project the
+  // needed variables in the same pass: each kept row is copied once.
   const SubsumptionMatch& match = source.match;
   size_t index_sel = match.selections.size();
   for (size_t i = 0; i < match.selections.size(); ++i) {
@@ -112,41 +112,41 @@ Result<rel::Relation> ExecutionMonitor::MaterializeElementSource(
                         : rel::Predicate::ColumnConst(s.column, s.op,
                                                       s.constant));
   }
-  rel::PredicatePtr pred =
-      preds.empty() ? rel::Predicate::True() : rel::Predicate::And(preds);
+  const rel::PredicatePtr pred =
+      preds.empty() ? nullptr : rel::Predicate::And(std::move(preds));
 
-  selected = rel::Relation(element->id(), ext->schema());
-  if (index_sel < match.selections.size()) {
-    const ResidualSelection& s = match.selections[index_sel];
-    auto index = element->index(s.column);
-    const std::vector<size_t>& rows = index->Lookup(s.constant);
-    if (work != nullptr) work->tuples_processed += rows.size();
-    for (size_t row : rows) {
-      const rel::Tuple& t = ext->tuple(row);
-      if (pred->Eval(t)) selected.AppendUnchecked(t);
-    }
-  } else {
-    // Full scan of the extension: the hot cache-side preparation path,
-    // morsel-parallel over large extensions (the simulated cost charged
-    // stays the serial tuple count — parallelism is a wall-clock win).
-    if (work != nullptr) work->tuples_processed += ext->NumTuples();
-    selected.mutable_tuples() =
-        std::move(exec::Select(exec_ctx_, *ext, *pred).mutable_tuples());
-  }
-
-  // Project the needed variables, naming columns after them and carrying
-  // the extension's declared column types into the projected schema (a
-  // kNull stamp here would discard type information the assembly joins
-  // and downstream consumers can use).
+  // The output columns are named after the needed variables and carry the
+  // extension's declared column types (a kNull stamp here would discard
+  // type information the assembly joins and downstream consumers can use).
   std::vector<size_t> cols;
   std::vector<rel::Column> names;
   for (const auto& [var, col] : match.var_to_column) {
     cols.push_back(col);
     names.push_back(rel::Column{var, ext->schema().column(col).type});
   }
-  rel::Relation projected = exec::Project(exec_ctx_, selected, cols);
   rel::Relation out(element->id(), rel::Schema(std::move(names)));
-  out.mutable_tuples() = std::move(projected.mutable_tuples());
+  if (index_sel < match.selections.size()) {
+    const ResidualSelection& s = match.selections[index_sel];
+    const std::shared_ptr<const rel::HashIndex> index =
+        element->index(s.column);
+    const std::vector<size_t>& rows = index->Lookup(s.constant);
+    if (work != nullptr) work->tuples_processed += rows.size();
+    out.mutable_tuples().reserve(rows.size());
+    for (size_t row : rows) {
+      const rel::Tuple& t = ext->tuple(row);
+      if (pred == nullptr || pred->Eval(t)) {
+        out.AppendUnchecked(rel::ProjectTuple(t, cols));
+      }
+    }
+  } else {
+    // Full scan of the extension: the hot cache-side preparation path,
+    // morsel-parallel over large extensions (the simulated cost charged
+    // stays the serial tuple count — parallelism is a wall-clock win).
+    if (work != nullptr) work->tuples_processed += ext->NumTuples();
+    out.mutable_tuples() = std::move(
+        exec::SelectProject(exec_ctx_, *ext, pred.get(), cols)
+            .mutable_tuples());
+  }
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 #include <unordered_set>
 
@@ -70,9 +71,9 @@ Result<rel::Relation> QueryProcessor::BindAtom(const Atom& atom,
     }
   }
   Charge(work, source.NumTuples());
-  rel::Relation filtered =
-      preds.empty() ? source : rel::Select(source, *rel::Predicate::And(preds));
-  rel::Relation projected = rel::Project(filtered, out_cols);
+  const rel::PredicatePtr pred =
+      preds.empty() ? nullptr : rel::Predicate::And(std::move(preds));
+  rel::Relation projected = rel::SelectProject(source, pred.get(), out_cols);
   // Rename columns to variable names.
   std::vector<rel::Column> cols;
   for (size_t i = 0; i < out_names.size(); ++i) {
@@ -97,33 +98,33 @@ rel::Relation QueryProcessor::NaturalJoin(const rel::Relation& left,
       right_shared[rc] = true;
     }
   }
-  rel::Relation joined = ctx != nullptr
-                             ? exec::HashJoin(*ctx, left, right, keys)
-                             : rel::HashJoin(left, right, keys);
-  Charge(work, left.NumTuples() + right.NumTuples() + joined.NumTuples());
-  // Drop the right-side duplicates of shared columns.
-  std::vector<size_t> keep;
-  for (size_t i = 0; i < left.schema().size(); ++i) keep.push_back(i);
+  // Keep every left column and the right columns that are not shared: the
+  // join writes only these, so no full concatenated tuple is built.
+  std::vector<size_t> keep(left.schema().size());
+  std::iota(keep.begin(), keep.end(), 0);
   for (size_t rc = 0; rc < right.schema().size(); ++rc) {
     if (!right_shared[rc]) keep.push_back(left.schema().size() + rc);
   }
-  rel::Relation out = ctx != nullptr ? exec::Project(*ctx, joined, keep)
-                                     : rel::Project(joined, keep);
+  rel::Relation out = ctx != nullptr
+                          ? exec::HashJoin(*ctx, left, right, keys, keep)
+                          : rel::HashJoin(left, right, keys, keep);
+  Charge(work, left.NumTuples() + right.NumTuples() + out.NumTuples());
   out.set_name(StrCat(left.name(), "*", right.name()));
   return out;
 }
 
-Result<rel::Relation> QueryProcessor::ApplyComparison(
-    const rel::Relation& input, const Atom& comparison, LocalWork* work) {
+Status QueryProcessor::ApplyComparison(rel::Relation* relation,
+                                       const Atom& comparison,
+                                       LocalWork* work) {
   if (!comparison.IsComparison()) {
     return Status::InvalidArgument(
         StrCat(comparison.ToString(), " is not a comparison"));
   }
-  auto resolve = [&input](const Term& t)
+  auto resolve = [relation](const Term& t)
       -> Result<std::pair<bool, size_t>> {  // (is_column, col) — constants
                                             // signalled by is_column=false
     if (t.is_constant()) return std::make_pair(false, size_t{0});
-    auto col = VarColumn(input, t.var_name());
+    auto col = VarColumn(*relation, t.var_name());
     if (!col.has_value()) {
       return Status::FailedPrecondition(
           StrCat("variable ", t.var_name(), " not bound"));
@@ -144,14 +145,15 @@ Result<rel::Relation> QueryProcessor::ApplyComparison(
                                        comparison.args[0].value());
   } else {
     // Ground comparison: keep all rows or none.
-    const bool holds = rel::EvalCompare(op, comparison.args[0].value(),
-                                        comparison.args[1].value());
-    if (holds) return input;
-    rel::Relation empty(input.name(), input.schema());
-    return empty;
+    if (!rel::EvalCompare(op, comparison.args[0].value(),
+                          comparison.args[1].value())) {
+      relation->Clear();
+    }
+    return Status::Ok();
   }
-  Charge(work, input.NumTuples());
-  return rel::Select(input, *pred);
+  Charge(work, relation->NumTuples());
+  rel::Filter(relation, *pred);
+  return Status::Ok();
 }
 
 Result<rel::Relation> QueryProcessor::ApplyEvaluable(
@@ -414,8 +416,8 @@ Result<rel::Relation> QueryProcessor::Assemble(
       // intermediates.
       for (size_t ci = 0; ci < comparisons.size(); ++ci) {
         if (comp_done[ci] || !VarsBound(current, comparisons[ci])) continue;
-        BRAID_ASSIGN_OR_RETURN(current,
-                               ApplyComparison(current, comparisons[ci], work));
+        BRAID_RETURN_IF_ERROR(
+            ApplyComparison(&current, comparisons[ci], work));
         comp_done[ci] = true;
       }
       if (observer != nullptr && observer->on_join_stage != nullptr) {
@@ -454,8 +456,8 @@ Result<rel::Relation> QueryProcessor::Assemble(
       // Newly bound result variables may enable pending comparisons.
       for (size_t ci = 0; ci < comparisons.size(); ++ci) {
         if (comp_done[ci] || !VarsBound(current, comparisons[ci])) continue;
-        BRAID_ASSIGN_OR_RETURN(current,
-                               ApplyComparison(current, comparisons[ci], work));
+        BRAID_RETURN_IF_ERROR(
+            ApplyComparison(&current, comparisons[ci], work));
         comp_done[ci] = true;
       }
     }
@@ -470,8 +472,7 @@ Result<rel::Relation> QueryProcessor::Assemble(
   bool trailing_comp = false;
   for (size_t ci = 0; ci < comparisons.size(); ++ci) {
     if (comp_done[ci]) continue;
-    BRAID_ASSIGN_OR_RETURN(current,
-                           ApplyComparison(current, comparisons[ci], work));
+    BRAID_RETURN_IF_ERROR(ApplyComparison(&current, comparisons[ci], work));
     comp_done[ci] = true;
     trailing_comp = true;
   }

@@ -72,8 +72,8 @@ class QueryProcessor {
   /// in an anti binding on its shared columns are removed — the NOT of
   /// CAQL), and projects onto the query head. This is the assembly step
   /// the Execution Monitor runs over plan-source outputs. With a non-null
-  /// `ctx`, the joins, projections, and the final duplicate elimination
-  /// run morsel-parallel on large inputs (results are unchanged; see
+  /// `ctx`, the joins and the final duplicate elimination run
+  /// morsel-parallel on large inputs (results are unchanged; see
   /// `exec::` operator contracts). A non-null `observer` is notified after
   /// each join stage and the final residual filter (intermediate-result
   /// capture; see AssemblyObserver).
@@ -100,16 +100,19 @@ class QueryProcessor {
                                         LocalWork* work);
 
   /// Natural join on identically named columns (cross product when none
-  /// are shared). Right-side duplicates of shared columns are dropped.
-  /// With a non-null `ctx` the join and projection are morsel-parallel.
+  /// are shared). Right-side duplicates of shared columns are dropped: the
+  /// join writes only the kept columns of each output tuple. With a
+  /// non-null `ctx` the join is morsel-parallel on large inputs.
   static rel::Relation NaturalJoin(const rel::Relation& left,
                                    const rel::Relation& right, LocalWork* work,
                                    const exec::ExecContext* ctx = nullptr);
 
-  /// Applies a comparison atom; every variable must name a column.
-  static Result<rel::Relation> ApplyComparison(const rel::Relation& input,
-                                               const logic::Atom& comparison,
-                                               LocalWork* work);
+  /// Applies a comparison atom in place, compacting `relation`, which the
+  /// caller must own outright (never a relation the cache shares); every
+  /// variable must name a column.
+  static Status ApplyComparison(rel::Relation* relation,
+                                const logic::Atom& comparison,
+                                LocalWork* work);
 
   /// Applies an evaluable atom (plus/minus/times/div/abs). Input arguments
   /// must be bound (columns or constants); the result argument either

@@ -1,7 +1,8 @@
 #include "exec/parallel_ops.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <optional>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -34,10 +35,13 @@ void ConcatInOrder(std::vector<std::vector<Tuple>> parts, Relation* out) {
 
 }  // namespace
 
-Relation Select(const ExecContext& ctx, const Relation& input,
-                const rel::Predicate& pred) {
+Relation SelectProject(const ExecContext& ctx, const Relation& input,
+                       const rel::Predicate* pred,
+                       const std::vector<size_t>& columns) {
   const size_t n = input.NumTuples();
-  if (!ctx.ShouldParallelize(n)) return rel::Select(input, pred);
+  if (!ctx.ShouldParallelize(n)) {
+    return rel::SelectProject(input, pred, columns);
+  }
 
   std::vector<std::vector<Tuple>> parts(NumMorsels(ctx, n));
   ctx.pool->ParallelFor(n, ctx.morsel_tuples, [&](size_t begin, size_t end) {
@@ -45,29 +49,9 @@ Relation Select(const ExecContext& ctx, const Relation& input,
     local.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       const Tuple& t = input.tuple(i);
-      if (pred.Eval(t)) local.push_back(t);
-    }
-  });
-  Relation out(StrCat("select(", input.name(), ")"), input.schema());
-  ConcatInOrder(std::move(parts), &out);
-  return out;
-}
-
-Relation Project(const ExecContext& ctx, const Relation& input,
-                 const std::vector<size_t>& columns) {
-  const size_t n = input.NumTuples();
-  if (!ctx.ShouldParallelize(n)) return rel::Project(input, columns);
-
-  std::vector<std::vector<Tuple>> parts(NumMorsels(ctx, n));
-  ctx.pool->ParallelFor(n, ctx.morsel_tuples, [&](size_t begin, size_t end) {
-    std::vector<Tuple>& local = parts[begin / ctx.morsel_tuples];
-    local.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      const Tuple& t = input.tuple(i);
-      Tuple projected;
-      projected.reserve(columns.size());
-      for (size_t c : columns) projected.push_back(t[c]);
-      local.push_back(std::move(projected));
+      if (pred == nullptr || pred->Eval(t)) {
+        local.push_back(rel::ProjectTuple(t, columns));
+      }
     }
   });
   Relation out(StrCat("project(", input.name(), ")"),
@@ -79,82 +63,64 @@ Relation Project(const ExecContext& ctx, const Relation& input,
 Relation HashJoin(const ExecContext& ctx, const Relation& left,
                   const Relation& right,
                   const std::vector<rel::JoinKey>& keys,
+                  const std::vector<size_t>& keep,
                   const rel::PredicatePtr& residual) {
   const size_t total = left.NumTuples() + right.NumTuples();
   if (keys.empty() || !ctx.ShouldParallelize(total)) {
-    return rel::HashJoin(left, right, keys, residual);
+    return rel::HashJoin(left, right, keys, keep, residual);
   }
+  const rel::JoinKernel kernel(left, right, keys, keep, residual);
 
-  // Same build-side choice as the serial operator so the output order
-  // (probe order, then build-row order per key) is identical.
-  const bool build_left = left.NumTuples() <= right.NumTuples();
-  const Relation& build = build_left ? left : right;
-  const Relation& probe = build_left ? right : left;
+  // Partitions: a power of two, at least four per lane (8 to 256), so the
+  // partition of a hash is its top bits (the kernel's buckets use the low
+  // ones).
+  const int partition_bits =
+      std::clamp(static_cast<int>(std::bit_width(4 * ctx.Lanes() - 1)), 3, 8);
+  const size_t partitions = size_t{1} << partition_bits;
+  auto partition_of = [partition_bits](uint64_t hash) {
+    return static_cast<size_t>(hash >> (64 - partition_bits));
+  };
 
-  // Partition count: a few per lane, rounded to a power of two so the
-  // partition of a hash is a mask.
-  size_t partitions = 8;
-  while (partitions < 4 * ctx.Lanes() && partitions < 256) partitions *= 2;
-  const size_t mask = partitions - 1;
-  const TupleHash hasher;
-
-  // Build phase 1 — morsel-parallel partitioning: each morsel bins its
-  // build rows (kept in row order) by key-hash partition.
-  const size_t nb = build.NumTuples();
-  const size_t build_morsels = NumMorsels(ctx, nb);
+  // Build phase 1 — morsel-parallel hashing: each build row is hashed once
+  // and binned, in row order, by partition.
+  const size_t nb = kernel.build().NumTuples();
+  std::vector<uint64_t> hashes(nb);
   std::vector<std::vector<std::vector<size_t>>> binned(
-      build_morsels, std::vector<std::vector<size_t>>(partitions));
+      NumMorsels(ctx, nb), std::vector<std::vector<size_t>>(partitions));
   ctx.pool->ParallelFor(nb, ctx.morsel_tuples, [&](size_t begin, size_t end) {
     auto& local = binned[begin / ctx.morsel_tuples];
     for (size_t row = begin; row < end; ++row) {
-      const Tuple key = rel::JoinKeyTuple(build.tuple(row), keys, build_left);
-      local[hasher(key) & mask].push_back(row);
+      hashes[row] = kernel.BuildHash(row);
+      local[partition_of(hashes[row])].push_back(row);
     }
   });
 
-  // Build phase 2 — one composite-key hash table per partition, built
-  // concurrently across partitions. Scanning the morsel bins in morsel
-  // order keeps each bucket's row list ascending, matching the serial
-  // build scan.
-  std::vector<std::unordered_map<Tuple, std::vector<size_t>, TupleHash>>
-      tables(partitions);
+  // Build phase 2 — one kernel table per partition, built concurrently.
+  // Gathering the morsel bins in morsel order keeps each partition's rows
+  // ascending, as the serial build's are.
+  std::vector<std::optional<rel::JoinKernel::Table>> tables(partitions);
   ctx.pool->ParallelFor(partitions, 1, [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {
-      auto& table = tables[p];
+      std::vector<size_t> rows;
       for (const auto& morsel_bins : binned) {
-        for (size_t row : morsel_bins[p]) {
-          table[rel::JoinKeyTuple(build.tuple(row), keys, build_left)]
-              .push_back(row);
-        }
+        rows.insert(rows.end(), morsel_bins[p].begin(), morsel_bins[p].end());
       }
+      tables[p].emplace(std::move(rows), hashes);
     }
   });
 
   // Probe phase — morsel-parallel with per-morsel output buffers.
-  const size_t np = probe.NumTuples();
+  const size_t np = kernel.probe().NumTuples();
   std::vector<std::vector<Tuple>> parts(NumMorsels(ctx, np));
   ctx.pool->ParallelFor(np, ctx.morsel_tuples, [&](size_t begin, size_t end) {
     std::vector<Tuple>& local = parts[begin / ctx.morsel_tuples];
-    for (size_t i = begin; i < end; ++i) {
-      const Tuple& pt = probe.tuple(i);
-      const Tuple key = rel::JoinKeyTuple(pt, keys, !build_left);
-      const auto& table = tables[hasher(key) & mask];
-      auto it = table.find(key);
-      if (it == table.end()) continue;
-      for (size_t row : it->second) {
-        const Tuple& bt = build.tuple(row);
-        const Tuple& lt = build_left ? bt : pt;
-        const Tuple& rt = build_left ? pt : bt;
-        Tuple combined = lt;
-        combined.insert(combined.end(), rt.begin(), rt.end());
-        if (residual != nullptr && !residual->Eval(combined)) continue;
-        local.push_back(std::move(combined));
-      }
+    for (size_t row = begin; row < end; ++row) {
+      const uint64_t hash = kernel.ProbeHash(row);
+      kernel.Probe(*tables[partition_of(hash)], row, hash, &local);
     }
   });
 
-  Relation out(StrCat("join(", left.name(), ",", right.name(), ")"),
-               left.schema().Concat(right.schema()));
+  Relation out = kernel.MakeOutput();
   ConcatInOrder(std::move(parts), &out);
   return out;
 }
@@ -184,83 +150,6 @@ Relation Distinct(const ExecContext& ctx, const Relation& input) {
     for (const Tuple& t : part) {
       if (seen.insert(t).second) out.AppendUnchecked(t);
     }
-  }
-  return out;
-}
-
-Relation Aggregate(const ExecContext& ctx, const Relation& input,
-                   const std::vector<size_t>& group_by,
-                   const std::vector<rel::AggSpec>& aggs) {
-  const size_t n = input.NumTuples();
-  if (!ctx.ShouldParallelize(n)) {
-    return rel::Aggregate(input, group_by, aggs);
-  }
-
-  // Per-morsel partials: a map of group key -> AggState per aggregate,
-  // plus the morsel-local first-occurrence order of the keys.
-  struct Partial {
-    std::unordered_map<Tuple, std::vector<rel::AggState>, TupleHash> groups;
-    std::vector<Tuple> order;
-  };
-  std::vector<Partial> partials(NumMorsels(ctx, n));
-  ctx.pool->ParallelFor(n, ctx.morsel_tuples, [&](size_t begin, size_t end) {
-    Partial& local = partials[begin / ctx.morsel_tuples];
-    for (size_t i = begin; i < end; ++i) {
-      const Tuple& t = input.tuple(i);
-      Tuple key;
-      key.reserve(group_by.size());
-      for (size_t c : group_by) key.push_back(t[c]);
-      auto [it, inserted] =
-          local.groups.emplace(key, std::vector<rel::AggState>());
-      if (inserted) {
-        it->second.resize(aggs.size());
-        local.order.push_back(key);
-      }
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (aggs[a].fn == rel::AggFn::kCount) {
-          it->second[a].Add(rel::Value::Int(1));
-        } else {
-          it->second[a].Add(t[aggs[a].column]);
-        }
-      }
-    }
-  });
-
-  // Merge in morsel order: global first-occurrence order equals the
-  // serial scan's, and each group's states fold partials in input order.
-  std::unordered_map<Tuple, std::vector<rel::AggState>, TupleHash> groups;
-  std::vector<Tuple> group_order;
-  for (Partial& partial : partials) {
-    for (Tuple& key : partial.order) {
-      auto local_it = partial.groups.find(key);
-      auto [it, inserted] =
-          groups.emplace(std::move(key), std::vector<rel::AggState>());
-      if (inserted) {
-        it->second = std::move(local_it->second);
-        group_order.push_back(it->first);
-      } else {
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          it->second[a].Merge(local_it->second[a]);
-        }
-      }
-    }
-  }
-
-  rel::Schema out_schema = input.schema().Project(group_by);
-  for (const rel::AggSpec& a : aggs) {
-    out_schema.AddColumn(rel::Column{a.output_name, rel::ValueType::kNull});
-  }
-  Relation out(StrCat("agg(", input.name(), ")"), std::move(out_schema));
-  // n >= threshold > 0, so the empty-input global-aggregate case is the
-  // serial fallback's business.
-  out.mutable_tuples().reserve(group_order.size());
-  for (const Tuple& key : group_order) {
-    const std::vector<rel::AggState>& states = groups.at(key);
-    Tuple row = key;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(states[a].Finish(aggs[a].fn));
-    }
-    out.AppendUnchecked(std::move(row));
   }
   return out;
 }

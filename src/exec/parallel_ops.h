@@ -14,44 +14,35 @@ namespace braid::exec {
 /// function produces output byte-identical to its serial counterpart in
 /// `braid::rel` (same tuples, same order) — parallelism changes wall-clock
 /// time, never results — and falls back to the serial implementation when
-/// `ctx.ShouldParallelize` rejects the input size. The one caveat is
-/// floating-point SUM/AVG, whose additions re-associate across morsels;
-/// over exactly-representable addends (integer columns) the results are
-/// still bit-identical (see DESIGN.md).
+/// `ctx.ShouldParallelize` rejects the input size.
 ///
 /// Determinism recipe, shared by all of them: workers claim fixed-size
 /// morsels of the input, write into per-morsel output buffers, and the
 /// buffers are concatenated (or merged) in morsel order afterwards, which
 /// reproduces the serial input-order traversal exactly.
 
-/// σ in parallel: per-morsel filtered buffers concatenated in input order.
-rel::Relation Select(const ExecContext& ctx, const rel::Relation& input,
-                     const rel::Predicate& pred);
+/// σ then π in one pass, in parallel: per-morsel buffers of the kept
+/// columns of the rows satisfying `pred` (every row when null),
+/// concatenated in input order.
+rel::Relation SelectProject(const ExecContext& ctx, const rel::Relation& input,
+                            const rel::Predicate* pred,
+                            const std::vector<size_t>& columns);
 
-/// π in parallel.
-rel::Relation Project(const ExecContext& ctx, const rel::Relation& input,
-                      const std::vector<size_t>& columns);
-
-/// Composite-key equi-join: parallel partitioned build (rows are hashed
-/// into partitions morsel-by-morsel, then one hash table per partition is
-/// built concurrently with rows in input order) and parallel probe with
-/// per-morsel output buffers merged in probe order.
+/// Composite-key equi-join writing only the `keep` columns (positions over
+/// the concatenated tuple), on `rel::JoinKernel`: each build row is hashed
+/// once into a partition morsel-by-morsel, each partition builds its own
+/// kernel table concurrently (rows in input order), and the probe runs
+/// morsel-parallel with per-morsel output buffers merged in probe order.
 rel::Relation HashJoin(const ExecContext& ctx, const rel::Relation& left,
                        const rel::Relation& right,
                        const std::vector<rel::JoinKey>& keys,
+                       const std::vector<size_t>& keep,
                        const rel::PredicatePtr& residual = nullptr);
 
 /// Duplicate elimination: per-morsel local dedup, then a serial merge over
 /// the (much smaller) per-morsel survivors keeps global first-occurrence
 /// order.
 rel::Relation Distinct(const ExecContext& ctx, const rel::Relation& input);
-
-/// Grouped aggregation: per-morsel partial AggState maps merged in morsel
-/// order, so groups appear in global first-occurrence order as in the
-/// serial operator.
-rel::Relation Aggregate(const ExecContext& ctx, const rel::Relation& input,
-                        const std::vector<size_t>& group_by,
-                        const std::vector<rel::AggSpec>& aggs);
 
 }  // namespace braid::exec
 

@@ -17,26 +17,100 @@ struct JoinKey {
   size_t right_col;
 };
 
-/// Projection of `t` onto the left (or right) columns of `keys` — the
-/// composite join key that HashJoin and its parallel variant hash on.
-Tuple JoinKeyTuple(const Tuple& t, const std::vector<JoinKey>& keys,
-                   bool left_side);
-
 /// σ: tuples of `input` satisfying `pred`.
 Relation Select(const Relation& input, const Predicate& pred);
+
+/// Removes the tuples of `relation` that fail `pred` in place (survivors
+/// keep their order); only for a relation the caller owns outright.
+void Filter(Relation* relation, const Predicate& pred);
 
 /// π: `input` restricted to `columns` (positions; duplicates allowed). Bag
 /// semantics — no duplicate elimination.
 Relation Project(const Relation& input, const std::vector<size_t>& columns);
 
-/// Equi-join via hashing on the full composite key (all key columns feed
-/// the hash, so a skewed first column cannot degrade the build to a few
-/// giant buckets); `residual` (over the concatenated tuple) is checked per
-/// matching pair. With no keys this degrades to a filtered cross product.
-/// Output order: for each probe-side tuple in input order, matching
-/// build-side tuples in input order.
+/// σ then π in one pass: the `columns` of each tuple of `input` that
+/// satisfies `pred` (every tuple when `pred` is null), copied once.
+Relation SelectProject(const Relation& input, const Predicate* pred,
+                       const std::vector<size_t>& columns);
+
+/// The `columns` of `t`, in order.
+Tuple ProjectTuple(const Tuple& t, const std::vector<size_t>& columns);
+
+/// The hash-join kernel: one key-hashing, table-build and probe routine,
+/// run by `HashJoin` over the whole build side and by `exec::HashJoin`
+/// once per hash partition.
+///
+/// The build side is the smaller input (the left one on a tie, and always
+/// the right one with no keys, so a cross product stays left-major). A key
+/// hash agrees with Value equality (Int(2) and Double(2.0), and 0.0 and
+/// -0.0, hash alike) and has every bit mixed: a table's buckets use its low
+/// bits, a parallel join's partitions its top ones. A table is a flat
+/// chained index of build rows: a head per bucket, and per row a next link
+/// and the stored 64-bit key hash; no key tuples. A probe walks its
+/// bucket's chain, compares the stored hash, then the key values, and
+/// writes each match once with only the kept columns. Chains run in
+/// ascending build-row order, so the output is probe order, then build
+/// rows ascending.
+class JoinKernel {
+ public:
+  /// A flat chained hash table over build rows `rows` (ascending);
+  /// `row_hashes` holds the key hash of every build row, by row.
+  struct Table {
+    Table(std::vector<size_t> rows, const std::vector<uint64_t>& row_hashes);
+
+    static constexpr size_t kEnd = ~size_t{0};
+    std::vector<size_t> rows;
+    std::vector<uint64_t> hashes;
+    std::vector<size_t> next;   // chain link per entry, kEnd at the end
+    std::vector<size_t> heads;  // first entry per bucket, or kEnd
+    uint64_t mask = 0;
+  };
+
+  /// Joins `left` and `right` on `keys`. `keep` lists the output columns
+  /// as positions over the concatenated tuple (left columns, then right
+  /// columns); `residual`, if any, is checked over the concatenated tuple.
+  JoinKernel(const Relation& left, const Relation& right,
+             const std::vector<JoinKey>& keys, std::vector<size_t> keep,
+             PredicatePtr residual);
+
+  const Relation& build() const { return *build_; }
+  const Relation& probe() const { return *probe_; }
+  /// Key hash of build (probe) row `row`.
+  uint64_t BuildHash(size_t row) const;
+  uint64_t ProbeHash(size_t row) const;
+
+  /// Empty output relation with the kept columns' schema.
+  Relation MakeOutput() const;
+
+  /// Appends the matches in `table` of probe row `row`, whose key hash is
+  /// `hash`, to `out` in ascending build-row order.
+  void Probe(const Table& table, size_t row, uint64_t hash,
+             std::vector<Tuple>* out) const;
+
+ private:
+  const Relation* left_;
+  const Relation* right_;
+  bool build_left_;
+  const Relation* build_;
+  const Relation* probe_;
+  std::vector<size_t> build_cols_;
+  std::vector<size_t> probe_cols_;
+  std::vector<size_t> keep_;
+  PredicatePtr residual_;
+};
+
+/// Equi-join on the full composite key via `JoinKernel`, writing the
+/// `keep` columns (positions over the concatenated tuple; all of them in
+/// the overload without `keep`) of each match; `residual` (over the
+/// concatenated tuple) is checked per matching pair. With no keys this is
+/// a filtered cross product. Output order: probe-side tuples in input
+/// order, each followed by its matching build-side tuples in input order.
 Relation HashJoin(const Relation& left, const Relation& right,
                   const std::vector<JoinKey>& keys,
+                  const PredicatePtr& residual = nullptr);
+Relation HashJoin(const Relation& left, const Relation& right,
+                  const std::vector<JoinKey>& keys,
+                  const std::vector<size_t>& keep,
                   const PredicatePtr& residual = nullptr);
 
 /// Nested-loop join with an arbitrary predicate over the concatenated
@@ -64,27 +138,6 @@ struct AggSpec {
   AggFn fn;
   size_t column = 0;  // Ignored for kCount.
   std::string output_name;
-};
-
-/// Running state for one aggregate within one group. Public so the
-/// parallel executor can keep per-worker partials and merge them
-/// (`src/exec/parallel_ops.cc`); Merge(a, b) after disjoint Adds is
-/// equivalent to Adding both input ranges in order (for kSum this holds
-/// bit-exactly only when the addends are exactly representable, e.g.
-/// integer-valued columns — see DESIGN.md on parallel determinism).
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  bool any = false;
-  Value min;
-  Value max;
-
-  void Add(const Value& v);
-
-  /// Folds another partial (built from a later input range) into this one.
-  void Merge(const AggState& other);
-
-  Value Finish(AggFn fn) const;
 };
 
 /// Groups `input` by `group_by` columns and computes each aggregate.

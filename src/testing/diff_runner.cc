@@ -466,7 +466,8 @@ std::string ReproCommand(const DiffOptions& opts) {
              opts.num_queries, " --threads ", opts.num_threads, " --prefetch ",
              opts.prefetch ? (opts.prefetch_async ? "async" : "sync") : "off",
              " --faults ", opts.faults ? "on" : "off");
-  cmd += StrCat(" --budget ", opts.cache_budget_bytes);
+  cmd += StrCat(" --budget ", opts.cache_budget_bytes,
+                " --parallel-threshold ", opts.parallel_threshold);
   if (opts.sessions > 1) cmd += StrCat(" --sessions ", opts.sessions);
   if (opts.open_loop) {
     cmd += StrCat(" --open-loop --rate ",
@@ -494,6 +495,7 @@ DiffReport RunSeedMatrix(uint64_t seed, size_t num_queries, bool with_faults,
     bool faults;
     bool catalog = true;
     bool intermediates = true;
+    size_t parallel_threshold = DiffOptions{}.parallel_threshold;
   };
   std::vector<Cell> cells = {
       {1, false, false, false},
@@ -506,6 +508,11 @@ DiffReport RunSeedMatrix(uint64_t seed, size_t num_queries, bool with_faults,
       // answers — both sides equal the oracle, so on vs. off are
       // bag-equal on every query of the stream.
       {1, true, true, false, /*catalog=*/true, /*intermediates=*/false},
+      // The CMS's own parallel threshold: every generated relation is
+      // below it, so the serial rel:: kernels run, as they do in
+      // production on inputs under the threshold.
+      {8, true, true, false, /*catalog=*/true, /*intermediates=*/true,
+       /*parallel_threshold=*/cms::CmsConfig{}.parallel_threshold},
   };
   if (with_faults) {
     cells.push_back({1, true, true, true});
@@ -524,6 +531,7 @@ DiffReport RunSeedMatrix(uint64_t seed, size_t num_queries, bool with_faults,
     opts.faults = cell.faults;
     opts.catalog = cell.catalog;
     opts.intermediates = cell.intermediates;
+    opts.parallel_threshold = cell.parallel_threshold;
     if (cell.faults) {
       opts.fault_plan.error_rate = 0.15;
       opts.fault_plan.delay_rate = 0.2;

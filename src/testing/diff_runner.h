@@ -29,7 +29,9 @@ struct DiffOptions {
   size_t num_threads = 1;       // pool workers; 1 keeps the run serial-ish
   bool parallel = true;
   /// Deliberately tiny so the morsel machinery engages on the small
-  /// generated relations instead of falling back to serial everywhere.
+  /// generated relations instead of falling back to serial everywhere;
+  /// one matrix cell runs at CmsConfig's default instead, where the
+  /// serial kernels answer.
   size_t parallel_threshold = 2;
   bool prefetch = true;
   bool prefetch_async = true;
@@ -127,10 +129,11 @@ std::vector<size_t> MinimizeFailure(const DiffOptions& opts);
 std::string ReproCommand(const DiffOptions& opts);
 
 /// Runs the standard configuration matrix for one seed — threads {1, 8} ×
-/// prefetch {off, sync, async}, plus a fault-injected configuration —
-/// every cell at `cache_budget_bytes`, and returns the first failing
-/// report (or the last passing one). When `failing` is non-null it
-/// receives the options of the failing cell.
+/// prefetch {off, sync, async}, catalog off, intermediates off, one cell
+/// at the CMS's default parallel threshold (serial kernels), plus
+/// fault-injected configurations — every cell at `cache_budget_bytes`,
+/// and returns the first failing report (or the last passing one). When
+/// `failing` is non-null it receives the options of the failing cell.
 DiffReport RunSeedMatrix(
     uint64_t seed, size_t num_queries = 24, bool with_faults = true,
     DiffOptions* failing = nullptr,

@@ -59,6 +59,26 @@ TEST(Caql, CanonicalKeyDistinguishesConstants) {
             Q("d(X) :- b(X, Y)").CanonicalKey());
 }
 
+TEST(Caql, CanonicalKeyEncodesConstantsUnambiguously) {
+  // A string constant renders neither like an int nor like a renamed
+  // variable, and a double keeps every digit.
+  EXPECT_NE(Q("d(X) :- b(X, 1)").CanonicalKey(),
+            Q("d(X) :- b(X, '1')").CanonicalKey());
+  EXPECT_NE(Q("d(X) :- b(X, X)").CanonicalKey(),
+            Q("d(X) :- b(X, 'V0')").CanonicalKey());
+  EXPECT_NE(Q("d(X) :- b(X, 0.1234567)").CanonicalKey(),
+            Q("d(X) :- b(X, 0.1234568)").CanonicalKey());
+  EXPECT_NE(Q("d(X) :- b(X, 2)").CanonicalKey(),
+            Q("d(X) :- b(X, 2.0)").CanonicalKey());
+  // A quote inside a string is escaped, so it cannot close the constant.
+  CaqlQuery quoted = Q("d(X) :- b(X, Y)");
+  quoted.body[0].args[1] = logic::Term::Str("a','b");
+  EXPECT_NE(quoted.CanonicalKey(),
+            Q("d(X) :- b(X, 'a', 'b')").CanonicalKey());
+  // Ints render in plain decimal.
+  EXPECT_EQ(Q("d(X) :- b(X, -7)").CanonicalKey(), "d(V0):-b(V0,-7)");
+}
+
 TEST(Caql, CanonicalKeyDistinguishesRepeatedVariables) {
   EXPECT_NE(Q("d(X) :- b(X, X)").CanonicalKey(),
             Q("d(X) :- b(X, Y)").CanonicalKey());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "advice/advice.h"
 #include "cms/cms.h"
 #include "workload/generators.h"
@@ -265,6 +267,45 @@ TEST_F(CmsTest, UnknownRelationErrorsCleanly) {
   auto a = cms_.Query(Q("q(X) :- nosuch(X)"));
   EXPECT_FALSE(a.ok());
   EXPECT_EQ(a.status().code(), StatusCode::kNotFound);
+}
+
+TEST(CmsExactMatch, ConstantsThatRenderAlikeGetTheirOwnAnswers) {
+  // b(k, v) mixes int, string and double values in v. Each pair of
+  // queries below once shared a canonical key, so the second query was an
+  // exact hit answered with the first one's element.
+  dbms::Database db;
+  rel::Relation b("b", rel::Schema::FromNames({"k", "v"}));
+  b.AppendUnchecked({Value::Int(1), Value::Int(1)});
+  b.AppendUnchecked({Value::Int(2), Value::String("1")});
+  b.AppendUnchecked({Value::Int(3), Value::Int(3)});
+  b.AppendUnchecked({Value::Int(4), Value::String("V0")});
+  b.AppendUnchecked({Value::Int(5), Value::Double(0.1234567)});
+  b.AppendUnchecked({Value::Int(6), Value::Double(0.1234568)});
+  BRAID_CHECK_OK(db.AddTable(std::move(b)));
+  dbms::RemoteDbms remote(std::move(db));
+  Cms cms(&remote, CmsConfig{});
+  auto keys_of = [&cms](const std::string& text) {
+    auto a = cms.Query(Q(text));
+    EXPECT_TRUE(a.ok()) << text << ": " << a.status().ToString();
+    std::vector<int64_t> keys;
+    if (!a.ok()) return keys;
+    rel::Relation r =
+        a->relation != nullptr ? *a->relation : stream::Drain(*a->stream);
+    for (const rel::Tuple& t : r.tuples()) keys.push_back(t[0].AsInt());
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"d(X) :- b(X, 1)", "d(X) :- b(X, '1')"},
+      {"d(X) :- b(X, X)", "d(X) :- b(X, 'V0')"},
+      {"d(X) :- b(X, 0.1234567)", "d(X) :- b(X, 0.1234568)"},
+  };
+  const std::vector<std::vector<int64_t>> first = {{1}, {1, 3}, {5}};
+  const std::vector<std::vector<int64_t>> second = {{2}, {4}, {6}};
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(keys_of(pairs[i].first), first[i]) << pairs[i].first;
+    EXPECT_EQ(keys_of(pairs[i].second), second[i]) << pairs[i].second;
+  }
 }
 
 TEST_F(CmsTest, CacheEvictionUnderTinyBudget) {

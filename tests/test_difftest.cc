@@ -356,6 +356,13 @@ TEST(DifftestSmoke, ReproCommandNamesTheBudget) {
   EXPECT_NE(ReproCommand(opts).find("--budget 2048"), std::string::npos);
 }
 
+TEST(DifftestSmoke, ReproCommandNamesTheParallelThreshold) {
+  DiffOptions opts;
+  opts.parallel_threshold = 4096;
+  EXPECT_NE(ReproCommand(opts).find("--parallel-threshold 4096"),
+            std::string::npos);
+}
+
 // The matrix at a 2 KiB budget: every cell evicts, and answers and
 // invariants still hold across the evictions.
 TEST(DifftestSmoke, MatrixAtSmallBudgetEvicts) {

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "common/rng.h"
+#include "exec/parallel_ops.h"
+#include "exec/thread_pool.h"
 #include "relational/index.h"
 #include "relational/operators.h"
 #include "relational/predicate.h"
@@ -256,6 +260,190 @@ INSTANTIATE_TEST_SUITE_P(
                       JoinCase{1, 1, 1, 3}, JoinCase{20, 20, 3, 4},
                       JoinCase{50, 30, 10, 5}, JoinCase{100, 100, 7, 6},
                       JoinCase{64, 256, 64, 7}, JoinCase{200, 50, 1, 8}));
+
+// ---------------------------------------------------------------------------
+// Kernel properties: the hash-join kernel (serial, and every partition of
+// the parallel join), the one-pass bind and the in-place filter against
+// naive references, row for row and value type for value type.
+
+/// Same type and same representation: Int(2) is not Double(2.0), and 0.0
+/// is not -0.0 (the operators compare them equal, but must copy each
+/// value as it is).
+bool Identical(const Tuple& a, const Tuple& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type()) return false;
+    if (a[i].type() == ValueType::kDouble) {
+      if (std::signbit(a[i].AsDouble()) != std::signbit(b[i].AsDouble()) ||
+          a[i].AsDouble() != b[i].AsDouble()) {
+        return false;
+      }
+    } else if (a[i] != b[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpectSameRows(const Relation& expected, const Relation& actual,
+                    const std::string& where) {
+  ASSERT_EQ(expected.NumTuples(), actual.NumTuples()) << where;
+  for (size_t i = 0; i < expected.NumTuples(); ++i) {
+    ASSERT_TRUE(Identical(expected.tuple(i), actual.tuple(i)))
+        << where << " row " << i << ": " << TupleToString(expected.tuple(i))
+        << " vs " << TupleToString(actual.tuple(i));
+  }
+}
+
+/// A value from a small domain holding the cases a key must get right:
+/// Int(2) equals Double(2.0), 0.0 equals -0.0 and Int(0), NULL joins NULL
+/// (EvalCompare's kEq), strings, and duplicates throughout.
+Value RandomKeyValue(Rng* rng) {
+  switch (rng->Uniform(0, 8)) {
+    case 0:
+      return Value::Int(2);
+    case 1:
+      return Value::Double(2.0);
+    case 2:
+      return Value::Double(0.0);
+    case 3:
+      return Value::Double(-0.0);
+    case 4:
+      return Value::Int(0);
+    case 5:
+      return Value::Null();
+    case 6:
+      return Value::String("a");
+    case 7:
+      return Value::String("bb");
+    default:
+      return Value::Int(rng->Uniform(0, 3));
+  }
+}
+
+Relation RandomMixed(const std::string& name, size_t rows, size_t arity,
+                     Rng* rng) {
+  std::vector<std::string> cols;
+  for (size_t c = 0; c < arity; ++c) cols.push_back(name + std::to_string(c));
+  Relation r(name, Schema::FromNames(cols));
+  for (size_t i = 0; i < rows; ++i) {
+    Tuple t;
+    for (size_t c = 0; c < arity; ++c) t.push_back(RandomKeyValue(rng));
+    r.AppendUnchecked(std::move(t));
+  }
+  return r;
+}
+
+/// Nested-loop join in the kernel's documented order: the build side is
+/// the smaller input (left on a tie; right with no keys); for each probe
+/// tuple in order, the matching build tuples in order; `keep` columns of
+/// the concatenated tuple.
+Relation ReferenceJoin(const Relation& left, const Relation& right,
+                       const std::vector<JoinKey>& keys,
+                       const std::vector<size_t>& keep) {
+  const bool build_left =
+      !keys.empty() && left.NumTuples() <= right.NumTuples();
+  const Relation& build = build_left ? left : right;
+  const Relation& probe = build_left ? right : left;
+  Relation out("ref", left.schema().Concat(right.schema()).Project(keep));
+  for (const Tuple& pt : probe.tuples()) {
+    for (const Tuple& bt : build.tuples()) {
+      const Tuple& lt = build_left ? bt : pt;
+      const Tuple& rt = build_left ? pt : bt;
+      bool match = true;
+      for (const JoinKey& k : keys) {
+        match = match && EvalCompare(CompareOp::kEq, lt[k.left_col],
+                                     rt[k.right_col]);
+      }
+      if (!match) continue;
+      Tuple combined = lt;
+      combined.insert(combined.end(), rt.begin(), rt.end());
+      out.AppendUnchecked(ProjectTuple(combined, keep));
+    }
+  }
+  return out;
+}
+
+TEST(KernelProperty, JoinsEqualNestedLoopRowForRow) {
+  Rng rng(2024);
+  std::vector<std::unique_ptr<exec::ThreadPool>> pools;
+  for (size_t workers : {1, 2, 8}) {
+    pools.push_back(std::make_unique<exec::ThreadPool>(workers));
+  }
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t left_arity = static_cast<size_t>(rng.Uniform(3, 4));
+    const size_t right_arity = static_cast<size_t>(rng.Uniform(3, 4));
+    // Empty sides, equal sizes (the tie rule) and skew all occur.
+    const size_t left_rows = static_cast<size_t>(rng.Uniform(0, 40));
+    const size_t right_rows = trial % 5 == 0
+                                  ? left_rows
+                                  : static_cast<size_t>(rng.Uniform(0, 40));
+    Relation left = RandomMixed("l", left_rows, left_arity, &rng);
+    Relation right = RandomMixed("r", right_rows, right_arity, &rng);
+    std::vector<JoinKey> keys;
+    const size_t num_keys = static_cast<size_t>(rng.Uniform(1, 3));
+    for (size_t k = 0; k < num_keys; ++k) {
+      keys.push_back(JoinKey{k, right_arity - 1 - k});
+    }
+    std::vector<size_t> all(left_arity + right_arity);
+    for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+    // A kept subset in a new order, with a column repeated.
+    std::vector<size_t> subset = {left_arity + 1, 0, left_arity + 1};
+    for (const std::vector<size_t>& keep : {all, subset}) {
+      const std::string where = "trial " + std::to_string(trial) +
+                                (keep.size() == all.size() ? " all" : " subset");
+      const Relation expected = ReferenceJoin(left, right, keys, keep);
+      ExpectSameRows(expected, HashJoin(left, right, keys, keep), where);
+      for (const auto& pool : pools) {
+        exec::ExecContext ctx;
+        ctx.pool = pool.get();
+        ctx.parallel_threshold = 0;
+        ctx.morsel_tuples = 4;
+        ExpectSameRows(expected, exec::HashJoin(ctx, left, right, keys, keep),
+                       where + " workers " +
+                           std::to_string(pool->num_workers()));
+      }
+    }
+    ExpectSameRows(ReferenceJoin(left, right, keys, all),
+                   HashJoin(left, right, keys), "full-tuple overload");
+  }
+}
+
+TEST(KernelProperty, CrossProductKeepsLeftMajorOrder) {
+  Rng rng(7);
+  Relation left = RandomMixed("l", 5, 2, &rng);
+  Relation right = RandomMixed("r", 3, 2, &rng);
+  ExpectSameRows(ReferenceJoin(left, right, {}, {0, 1, 2, 3}),
+                 HashJoin(left, right, {}), "cross product");
+}
+
+TEST(KernelProperty, OnePassBindAndInPlaceFilterMatchSelect) {
+  Rng rng(99);
+  exec::ThreadPool pool(2);
+  exec::ExecContext ctx;
+  ctx.pool = &pool;
+  ctx.parallel_threshold = 0;
+  ctx.morsel_tuples = 4;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Relation input = RandomMixed(
+        "in", static_cast<size_t>(rng.Uniform(0, 50)), 3, &rng);
+    const PredicatePtr pred =
+        trial % 2 == 0
+            ? Predicate::ColumnConst(0, CompareOp::kEq, RandomKeyValue(&rng))
+            : Predicate::ColumnColumn(1, CompareOp::kEq, 2);
+    const std::vector<size_t> cols = {2, 0, 2};
+    const std::string where = "trial " + std::to_string(trial);
+    const Relation two_pass = Project(Select(input, *pred), cols);
+    ExpectSameRows(two_pass, SelectProject(input, pred.get(), cols), where);
+    ExpectSameRows(two_pass, exec::SelectProject(ctx, input, pred.get(), cols),
+                   where + " parallel");
+    ExpectSameRows(Project(input, cols),
+                   SelectProject(input, nullptr, cols), where + " no pred");
+    Relation filtered = input;
+    Filter(&filtered, *pred);
+    ExpectSameRows(Select(input, *pred), filtered, where + " filter");
+  }
+}
 
 // Property: Select distributes over Union.
 TEST(Property, SelectDistributesOverUnion) {

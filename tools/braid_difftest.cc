@@ -40,6 +40,7 @@ struct CliArgs {
   size_t num_threads = 1;
   size_t sessions = 1;
   size_t budget = braid::testing::DiffOptions{}.cache_budget_bytes;
+  size_t parallel_threshold = braid::testing::DiffOptions{}.parallel_threshold;
   std::string prefetch = "async";  // off | sync | async
   bool faults = false;
   bool open_loop = false;
@@ -69,6 +70,9 @@ void Usage() {
       "  --budget BYTES      cache budget of the system side, for the\n"
       "                      explicit config and every matrix cell\n"
       "                      (default 262144; 2048 evicts on every seed)\n"
+      "  --parallel-threshold N  inputs of at least N tuples run\n"
+      "                      morsel-parallel (default 2; the CMS default,\n"
+      "                      4096, runs the serial kernels)\n"
       "  --prefetch MODE     off | sync | async (default async)\n"
       "  --faults on|off     fault-injected remote link (default off)\n"
       "  --open-loop         replay as open-loop Poisson arrivals under a\n"
@@ -144,6 +148,12 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (v == nullptr) return false;
       args->budget = static_cast<size_t>(std::strtoull(v, nullptr, 10));
       if (args->budget == 0) return false;
+    } else if (arg == "--parallel-threshold") {
+      const char* v = next();
+      if (v == nullptr) return false;
+      args->parallel_threshold =
+          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      args->single_config = true;
     } else if (arg == "--prefetch") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -207,6 +217,7 @@ DiffOptions OptionsFor(const CliArgs& args, uint64_t seed) {
   opts.num_threads = args.num_threads;
   opts.sessions = args.sessions;
   opts.cache_budget_bytes = args.budget;
+  opts.parallel_threshold = args.parallel_threshold;
   opts.prefetch = args.prefetch != "off";
   opts.prefetch_async = args.prefetch == "async";
   opts.caching = args.caching;
