@@ -5,7 +5,8 @@
 // morsel-parallel hash join (exec::) at several worker counts, timed by
 // wall clock, with threads=0 rows running the serial rel:: baseline, and
 // two warm end-to-end paths: one exact-hit CMS query, and one IE Ask
-// answered entirely from the cache.
+// answered entirely from the cache. C2: cache reads right after a write
+// and evicting inserts, at 100 to 16000 resident elements.
 //
 // Results are written to BENCH_micro.json by default; pass `--json <path>`
 // (or any --benchmark_out=... flag) to override.
@@ -335,6 +336,72 @@ void BM_WarmAsk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WarmAsk);
+
+/// C2's resident element: v_i(Y) :- b1(i, Y) with four rows. The
+/// extension's name is fixed, so every element has the same byte size and
+/// a budget of N elements holds exactly N.
+cms::CacheElementPtr ScalingElement(std::string id, int64_t i) {
+  auto ext =
+      std::make_shared<rel::Relation>("v", rel::Schema::FromNames({"Y"}));
+  for (int64_t row = 0; row < 4; ++row) {
+    ext->AppendUnchecked({rel::Value::Int(row)});
+  }
+  return std::make_shared<cms::CacheElement>(
+      std::move(id),
+      caql::ParseCaql(StrCat("v_", i, "(Y) :- b1(", i, ", Y)")).value(), ext);
+}
+
+// C2: the first subsumption-candidate lookup after a write, at N resident
+// elements. Each iteration registers one element, looks up the candidates
+// of q(Y) :- b1(7, Y) and removes the element again.
+void BM_CandidatesAfterWrite(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  cms::CacheModel model;
+  for (int64_t i = 0; i < n; ++i) {
+    model.Register(ScalingElement(model.NextId(), i));
+  }
+  const cms::QueryDescriptor probe =
+      cms::DescribeQuery(caql::ParseCaql("q(Y) :- b1(7, Y)").value());
+  int64_t i = n;
+  size_t candidates = 0;
+  for (auto _ : state) {
+    cms::CacheElementPtr e = ScalingElement(model.NextId(), i++);
+    model.Register(e);
+    std::vector<cms::CacheElementPtr> found =
+        model.SubsumptionCandidates(probe);
+    benchmark::DoNotOptimize(found);
+    candidates = found.size();
+    model.Remove(*e);
+  }
+  if (candidates != 1) state.SkipWithError("expected one candidate, v_7");
+}
+BENCHMARK(BM_CandidatesAfterWrite)->Arg(100)->Arg(1000)->Arg(4000)->Arg(16000);
+
+// C2: an insert into a full cache, at N resident elements. The budget
+// holds N elements, so each iteration's insert evicts exactly one.
+void BM_EvictingInsert(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const size_t unit = ScalingElement("E0", 0)->ByteSize();
+  cms::CacheManager mgr(static_cast<size_t>(n) * unit + unit / 2,
+                        /*replacement_horizon=*/4);
+  for (int64_t i = 0; i < n; ++i) {
+    mgr.Insert(ScalingElement(mgr.model().NextId(), i));
+    mgr.Tick();
+  }
+  if (mgr.model().size() != static_cast<size_t>(n)) {
+    state.SkipWithError("the budget does not hold N elements");
+  }
+  int64_t i = n;
+  for (auto _ : state) {
+    bool inserted = mgr.Insert(ScalingElement(mgr.model().NextId(), i++));
+    benchmark::DoNotOptimize(inserted);
+    mgr.Tick();
+  }
+  if (mgr.stats().evictions.load() != static_cast<size_t>(i - n)) {
+    state.SkipWithError("an insert did not evict exactly one element");
+  }
+}
+BENCHMARK(BM_EvictingInsert)->Arg(100)->Arg(1000)->Arg(4000)->Arg(16000);
 
 }  // namespace
 }  // namespace braid

@@ -4,7 +4,8 @@
 //
 // Each session interleaves two kinds of queries per iteration:
 //  * a warm query answered exactly from a shared cached element — the
-//    striped cache's snapshot-read path under concurrent lookups;
+//    striped cache's exact probe (one hash lookup under the stripe lock)
+//    under concurrent lookups;
 //  * a cold query with a session-and-iteration-unique constant, forcing a
 //    remote fetch. The simulated link sleeps for real (wall_clock_scale),
 //    so with N sessions the link latencies overlap on the pool and

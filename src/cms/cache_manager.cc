@@ -156,7 +156,7 @@ void CacheManager::MakeRoomDerived(size_t needed, const std::string& exclude) {
             });
   for (const Candidate& c : candidates) {
     if (needed == 0) break;
-    const size_t freed = model_.Remove(c.element->id());
+    const size_t freed = model_.Remove(*c.element);
     if (freed == 0) continue;
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     stats_.intermediates_evicted.fetch_add(1, std::memory_order_relaxed);
@@ -199,8 +199,8 @@ void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
   // a final tie-break so eviction order is fully deterministic. The
   // advisor is consulted exactly once per element per pass — evicting a
   // victim changes no other element's rank, which makes one ranking pass
-  // sufficient for the whole batch. The candidate set is a snapshot;
-  // a concurrently removed element simply frees no bytes when its turn
+  // sufficient for the whole batch. The candidate set is a copy; a
+  // concurrently removed element simply frees no bytes when its turn
   // comes.
   struct Candidate {
     std::tuple<int, int, size_t, uint64_t> rank;
@@ -237,7 +237,7 @@ void CacheManager::MakeRoom(size_t needed, const std::string& exclude) {
     if (needed == 0) break;
     // Remove locks exactly one stripe and reports the bytes actually
     // freed (0 when a concurrent pass already evicted this element).
-    const size_t freed = model_.Remove(c.element->id());
+    const size_t freed = model_.Remove(*c.element);
     if (freed == 0) continue;
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     evictions_->Increment();

@@ -60,10 +60,10 @@ using ReplacementAdvisor =
 /// Thread safety: fully concurrent. The model is striped (see CacheModel);
 /// the logical clock and stats are atomics; the advisor is swapped under a
 /// small leaf mutex and copied per eviction pass. `MakeRoom` is
-/// stripe-aware: candidates are collected and ranked from snapshots with
-/// no lock held, and each eviction locks exactly one stripe (via
-/// CacheModel::Remove), so an eviction pass never blocks reads or installs
-/// on other stripes. Budget checks read the model's byte totals, which
+/// stripe-aware: candidates are copied out one stripe lock at a time and
+/// ranked with no lock held, and each eviction locks exactly one stripe
+/// (via CacheModel::Remove), so an eviction pass never blocks reads or
+/// installs on other stripes. Budget checks read the model's byte totals, which
 /// are loads (CacheModel::TotalBytes), so a write costs O(1) in the size
 /// of the cache until it has to evict.
 class CacheManager {

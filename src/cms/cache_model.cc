@@ -43,126 +43,71 @@ std::string CacheModel::NextId() {
 void CacheModel::Register(CacheElementPtr element) {
   const std::string& id = element->id();
   const caql::QueryKey& key = element->key();
-  // A same-id re-register may carry a different definition and therefore
-  // land on a different stripe: clear the old entry first (rare — ids are
-  // normally fresh).
-  Remove(id);
-
   // The signature is a pure function of the definition; compute it before
   // taking the stripe lock.
   auto signature = std::make_shared<const CatalogSignature>(
       ComputeSignature(element->definition()));
 
-  const size_t stripe = StripeOf(key.hash);
-  Stripe& s = stripes_[stripe];
+  Stripe& s = stripes_[StripeOf(key.hash)];
   StripeLock lock(this, s);
-  // Same canonical key under another id: concurrent sessions raced to
-  // install the same definition; the earlier element is dropped so the
-  // key maps to exactly one element.
+  // Same canonical key: concurrent sessions raced to install the same
+  // definition, or this element is registered again. The resident one is
+  // dropped so the key maps to exactly one element.
   const CacheElementPtr displaced = FindLocked(s, key);
-  if (displaced != nullptr && displaced->id() != id) {
-    RemoveLocked(s, displaced->id());
-  }
+  if (displaced != nullptr) RemoveLocked(s, *displaced);
   for (const logic::Atom& a : element->definition().RelationAtoms()) {
-    s.by_predicate[a.predicate].insert(id);
+    s.by_predicate[a.predicate][id] = element;
   }
-  s.catalog.Insert(id, std::move(signature));
+  s.catalog.Insert(element, std::move(signature));
   s.by_key.emplace(key.hash, element);
   element->ChargeTo(&totals_);
   s.elements[id] = std::move(element);
-  ++s.version;
-  s.snapshot = nullptr;
-  {
-    MutexLock idlock(&id_mu_);
-    id_stripe_[id] = stripe;
-  }
   count_.fetch_add(1, std::memory_order_acq_rel);
   version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-size_t CacheModel::RemoveLocked(Stripe& s, std::string id) {
-  auto it = s.elements.find(id);
-  if (it == s.elements.end()) return 0;
-  const size_t freed = it->second->Discharge();
-  for (const logic::Atom& a : it->second->definition().RelationAtoms()) {
+size_t CacheModel::RemoveLocked(Stripe& s, const CacheElement& element) {
+  auto it = s.elements.find(element.id());
+  if (it == s.elements.end() || it->second.get() != &element) return 0;
+  // Erasing the map entry may release the last owner of `element`: hold
+  // it until the indexes are clean.
+  const CacheElementPtr e = it->second;
+  const std::string& id = e->id();
+  const size_t freed = e->Discharge();
+  for (const logic::Atom& a : e->definition().RelationAtoms()) {
     auto pit = s.by_predicate.find(a.predicate);
     if (pit != s.by_predicate.end()) {
       pit->second.erase(id);
       if (pit->second.empty()) s.by_predicate.erase(pit);
     }
   }
-  auto [kit, kend] = s.by_key.equal_range(it->second->key().hash);
+  auto [kit, kend] = s.by_key.equal_range(e->key().hash);
   for (; kit != kend; ++kit) {
-    if (kit->second == it->second) {
+    if (kit->second == e) {
       s.by_key.erase(kit);
       break;
     }
   }
   s.catalog.Remove(id);
   s.elements.erase(it);
-  ++s.version;
-  s.snapshot = nullptr;
-  {
-    MutexLock idlock(&id_mu_);
-    id_stripe_.erase(id);
-  }
   count_.fetch_sub(1, std::memory_order_acq_rel);
   version_.fetch_add(1, std::memory_order_acq_rel);
   return freed;
 }
 
-size_t CacheModel::Remove(const std::string& id) {
-  for (;;) {
-    size_t idx;
-    {
-      MutexLock lock(&id_mu_);
-      auto it = id_stripe_.find(id);
-      if (it == id_stripe_.end()) return 0;
-      idx = it->second;
-    }
-    Stripe& s = stripes_[idx];
-    StripeLock lock(this, s);
-    if (s.elements.find(id) == s.elements.end()) {
-      // Raced with another Remove (or a same-id re-register that moved the
-      // element): re-read the directory.
-      continue;
-    }
-    return RemoveLocked(s, id);
-  }
-}
-
-std::shared_ptr<const StripeSnapshot> CacheModel::Snapshot(size_t i) const {
-  const Stripe& s = stripes_[i];
+size_t CacheModel::Remove(const CacheElement& element) {
+  Stripe& s = stripes_[StripeOf(element.key().hash)];
   StripeLock lock(this, s);
-  if (s.snapshot == nullptr || s.snapshot->version != s.version) {
-    auto snap = std::make_shared<StripeSnapshot>();
-    snap->version = s.version;
-    snap->elements = s.elements;
-    for (const auto& [pred, ids] : s.by_predicate) {
-      std::vector<CacheElementPtr>& out = snap->by_predicate[pred];
-      out.reserve(ids.size());
-      for (const std::string& id : ids) {
-        auto eit = s.elements.find(id);
-        if (eit != s.elements.end()) out.push_back(eit->second);
-      }
-    }
-    snap->catalog = s.catalog.Build(s.elements);
-    s.snapshot = std::move(snap);
-  }
-  return s.snapshot;
+  return RemoveLocked(s, element);
 }
 
 CacheElementPtr CacheModel::Find(const std::string& id) const {
-  size_t idx;
-  {
-    MutexLock lock(&id_mu_);
-    auto it = id_stripe_.find(id);
-    if (it == id_stripe_.end()) return nullptr;
-    idx = it->second;
+  for (const Stripe& s : stripes_) {
+    StripeLock lock(this, s);
+    auto it = s.elements.find(id);
+    if (it != s.elements.end()) return it->second;
   }
-  std::shared_ptr<const StripeSnapshot> snap = Snapshot(idx);
-  auto it = snap->elements.find(id);
-  return it == snap->elements.end() ? nullptr : it->second;
+  return nullptr;
 }
 
 std::vector<CacheElementPtr> CacheModel::ByPredicate(
@@ -170,11 +115,11 @@ std::vector<CacheElementPtr> CacheModel::ByPredicate(
   // Every stripe may hold definitions mentioning the predicate (stripes
   // hash the whole canonical definition, not individual predicates).
   std::vector<CacheElementPtr> out;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
-    auto it = snap->by_predicate.find(predicate);
-    if (it == snap->by_predicate.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+  for (const Stripe& s : stripes_) {
+    StripeLock lock(this, s);
+    auto it = s.by_predicate.find(predicate);
+    if (it == s.by_predicate.end()) continue;
+    for (const auto& [id, e] : it->second) out.push_back(e);
   }
   return out;
 }
@@ -185,16 +130,18 @@ std::vector<CacheElementPtr> CacheModel::SubsumptionCandidates(
   // hash the whole canonical key); each stripe's catalog rejects
   // non-subsuming entries without touching the rest of the stripe.
   std::vector<CacheElementPtr> out;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    Snapshot(i)->catalog->Candidates(query, &out, stats);
+  for (const Stripe& s : stripes_) {
+    StripeLock lock(this, s);
+    s.catalog.Candidates(query, &out, stats);
   }
   return out;
 }
 
 std::string CacheModel::CheckCatalogConsistency() const {
   for (size_t i = 0; i < kNumStripes; ++i) {
-    std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
-    std::string problem = snap->catalog->CheckConsistency(snap->elements);
+    const Stripe& s = stripes_[i];
+    StripeLock lock(this, s);
+    std::string problem = s.catalog.CheckConsistency(s.elements);
     if (!problem.empty()) {
       return StrCat("stripe ", i, ": ", problem);
     }
@@ -203,7 +150,7 @@ std::string CacheModel::CheckCatalogConsistency() const {
     // materialized schema) would answer queries wrongly through
     // subsumption, so the consistency sweep validates them like any
     // posted element.
-    for (const auto& [id, e] : snap->elements) {
+    for (const auto& [id, e] : s.elements) {
       if (!e->is_derived()) continue;
       Status valid = e->definition().Validate();
       if (!valid.ok()) {
@@ -239,9 +186,9 @@ CacheElementPtr CacheModel::ByCanonicalKey(const caql::QueryKey& key) const {
 
 std::map<std::string, CacheElementPtr> CacheModel::elements() const {
   std::map<std::string, CacheElementPtr> out;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
-    out.insert(snap->elements.begin(), snap->elements.end());
+  for (const Stripe& s : stripes_) {
+    StripeLock lock(this, s);
+    out.insert(s.elements.begin(), s.elements.end());
   }
   return out;
 }
@@ -249,19 +196,19 @@ std::map<std::string, CacheElementPtr> CacheModel::elements() const {
 std::vector<CacheElementPtr> CacheModel::ResidentElements() const {
   std::vector<CacheElementPtr> out;
   out.reserve(size());
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
-    for (const auto& [id, e] : snap->elements) out.push_back(e);
+  for (const Stripe& s : stripes_) {
+    StripeLock lock(this, s);
+    for (const auto& [id, e] : s.elements) out.push_back(e);
   }
   return out;
 }
 
 bool CacheModel::HasMaterializedFor(const std::string& predicate) const {
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    std::shared_ptr<const StripeSnapshot> snap = Snapshot(i);
-    auto it = snap->by_predicate.find(predicate);
-    if (it == snap->by_predicate.end()) continue;
-    for (const CacheElementPtr& e : it->second) {
+  for (const Stripe& s : stripes_) {
+    StripeLock lock(this, s);
+    auto it = s.by_predicate.find(predicate);
+    if (it == s.by_predicate.end()) continue;
+    for (const auto& [id, e] : it->second) {
       if (e->is_materialized()) return true;
     }
   }

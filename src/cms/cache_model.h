@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,23 +18,6 @@
 #include "obs/metrics.h"
 
 namespace braid::cms {
-
-/// Immutable point-in-time copy of one stripe's indexes. Readers grab the
-/// current snapshot under a brief stripe lock (rebuilding it first when the
-/// stripe changed since the last build) and then run arbitrarily long
-/// lookups — the subsumption search in particular — without holding any
-/// lock, so reads never block installs and installs never block reads
-/// beyond the pointer swap. (The exact-match probe needs no snapshot: it
-/// is one hash lookup under the stripe lock.)
-struct StripeSnapshot {
-  uint64_t version = 0;
-  std::map<std::string, CacheElementPtr> elements;  // id -> element
-  std::map<std::string, std::vector<CacheElementPtr>> by_predicate;
-  /// Semantic-catalog posting index over this stripe's elements (DESIGN.md
-  /// §11): signature-filtered subsumption candidate retrieval without
-  /// scanning the stripe.
-  std::shared_ptr<const CatalogIndex> catalog;
-};
 
 /// The cache model: meta-information about what is in the cache (paper §3:
 /// "the CMS controls the cache and the cache model (i.e., meta-information
@@ -50,13 +32,14 @@ struct StripeSnapshot {
 ///
 /// Concurrency (DESIGN.md §10 "Striped cache & session model"): storage is
 /// striped by the hash of the canonical definition key; each stripe has its
-/// own `braid::Mutex` and a lazily rebuilt immutable snapshot. Writers
-/// (Register/Remove) lock exactly one stripe; readers copy a snapshot
-/// pointer under the stripe lock and search lock-free. A separate leaf
-/// mutex guards the id -> stripe directory (ids hash to nothing useful —
-/// the canonical key determines the stripe). Lock order: a stripe mutex
-/// may be held while taking `id_mu_` or an element's `repr_mu_`, never the
-/// reverse, and no operation ever holds two stripe locks at once.
+/// own `braid::Mutex`, and its indexes are written and read in place under
+/// it. Writers (Register/Remove) lock exactly one stripe, the one the
+/// element's key names; readers lock each stripe they search in turn and
+/// copy out only the element pointers they return, so the mapping search,
+/// eviction ranking and every other consumer run after the lock is
+/// released. Lock order: a stripe mutex may be held while taking an
+/// element's `repr_mu_`, never the reverse, and no operation ever holds
+/// two stripe locks at once.
 ///
 /// Byte accounting (DESIGN.md §10): the model keeps resident and derived
 /// byte totals. Register charges an element's memoized size, RemoveLocked
@@ -79,25 +62,30 @@ class CacheModel {
   std::string NextId();
 
   /// Registers an element under its id, predicate index, and canonical
-  /// key. Replaces any same-id entry and any same-canonical-key entry
-  /// (concurrent sessions may race to install the same definition under
-  /// different ids; last install wins, the loser's element is dropped).
+  /// key. Ids come from NextId(); an id may be registered again only with
+  /// the same definition. Replaces any same-canonical-key entry:
+  /// concurrent sessions may race to install the same definition under
+  /// different ids (last install wins, the loser's element is dropped),
+  /// and registering a resident element again replaces it.
   void Register(CacheElementPtr element);
 
-  /// Removes the element (no-op if absent). Returns the bytes it occupied
-  /// at removal, 0 when another thread removed it first — so concurrent
-  /// evictions never double-count freed space.
-  size_t Remove(const std::string& id);
+  /// Removes the element from the stripe its key names. Returns the bytes
+  /// it occupied at removal, 0 when it is no longer resident (another
+  /// thread removed or displaced it first) — so concurrent evictions never
+  /// double-count freed space.
+  size_t Remove(const CacheElement& element);
 
+  /// The resident element with this id, or null. Searches every stripe
+  /// (an id names no stripe).
   CacheElementPtr Find(const std::string& id) const;
 
-  /// Elements whose definitions mention `predicate` (snapshot read).
+  /// Elements whose definitions mention `predicate`, stripe by stripe in
+  /// id order.
   std::vector<CacheElementPtr> ByPredicate(const std::string& predicate) const;
 
   /// Subsumption candidates for the described query, merged across every
-  /// stripe's catalog index (snapshot reads; lock-free after the snapshot
-  /// pointer copy). A superset of the elements ComputeSubsumptionAll would
-  /// match, usually far smaller than the cache.
+  /// stripe's catalog. A superset of the elements ComputeSubsumptionAll
+  /// would match, usually far smaller than the cache.
   std::vector<CacheElementPtr> SubsumptionCandidates(
       const QueryDescriptor& query, CatalogLookupStats* stats = nullptr) const;
 
@@ -110,18 +98,17 @@ class CacheModel {
 
   /// Element whose definition has this canonical key, or null: one probe
   /// of the key's stripe by `key.hash`, confirmed on `key.text` (a hash
-  /// collision misses). Takes the stripe lock briefly; no snapshot.
+  /// collision misses). Takes the stripe lock briefly.
   CacheElementPtr ByCanonicalKey(const caql::QueryKey& key) const;
 
-  /// Point-in-time copy of the full id -> element map, merged from the
-  /// per-stripe snapshots. (Pre-striping this returned a reference into
-  /// the model; a copy is the only sound shape once installs are
-  /// concurrent. Element pointers stay valid after eviction.)
+  /// Copy of the full id -> element map, merged stripe by stripe. (A copy
+  /// is the only sound shape once installs are concurrent. Element
+  /// pointers stay valid after eviction.)
   std::map<std::string, CacheElementPtr> elements() const;
 
-  /// Every resident element, gathered from the per-stripe snapshots in no
-  /// particular order: elements() without the merged map, for callers
-  /// that rank or filter the whole cache.
+  /// Every resident element, stripe by stripe in id order: elements()
+  /// without the merged map, for callers that rank or filter the whole
+  /// cache.
   std::vector<CacheElementPtr> ResidentElements() const;
 
   size_t size() const { return count_.load(std::memory_order_acquire); }
@@ -134,7 +121,7 @@ class CacheModel {
 
   /// Total bytes across all resident elements, co-existing
   /// representations (indexes, sorted copies) built after install
-  /// included. A load: walks no tuples and rebuilds no snapshot.
+  /// included. A load: walks no tuples.
   size_t TotalBytes() const { return totals_.resident(); }
 
   /// The part of TotalBytes() held by derived elements (also a load).
@@ -166,20 +153,17 @@ class CacheModel {
   struct Stripe {
     mutable Mutex mu;
     std::map<std::string, CacheElementPtr> elements BRAID_GUARDED_BY(mu);
-    std::map<std::string, std::set<std::string>> by_predicate
-        BRAID_GUARDED_BY(mu);
+    /// The "(predicate name, cache element)" index of §5.3.2: predicate ->
+    /// id -> element.
+    std::map<std::string, std::map<std::string, CacheElementPtr>>
+        by_predicate BRAID_GUARDED_BY(mu);
     /// Exact-match index: element key hash -> element. A multimap only so
     /// that two definitions whose hashes collide can both be resident.
     std::unordered_multimap<uint64_t, CacheElementPtr> by_key
         BRAID_GUARDED_BY(mu);
-    /// Mutable side of the semantic catalog, maintained in the same
-    /// critical sections as the maps above.
+    /// The semantic catalog over this stripe's elements, maintained in the
+    /// same critical sections as the maps above.
     CatalogShard catalog BRAID_GUARDED_BY(mu);
-    uint64_t version BRAID_GUARDED_BY(mu) = 0;
-    /// Cached immutable copy; null or stale (version mismatch) after a
-    /// write, rebuilt by the next reader.
-    mutable std::shared_ptr<const StripeSnapshot> snapshot
-        BRAID_GUARDED_BY(mu);
   };
 
   /// Contention-instrumented stripe lock: an uncontended acquisition is
@@ -200,27 +184,17 @@ class CacheModel {
   /// The stripe owning keys with this hash.
   static size_t StripeOf(uint64_t key_hash) { return key_hash % kNumStripes; }
 
-  /// Removes `id` from stripe `s` (which must own it) and from the id
-  /// directory; returns the bytes freed (what the element discharged).
-  // `id` is taken by value: callers may pass a reference into an element
-  // this function releases (e.g. Register passes the id of the element it
-  // displaces), and the id must outlive that release.
-  size_t RemoveLocked(Stripe& s, std::string id) BRAID_REQUIRES(s.mu);
+  /// Removes `element` from stripe `s` (the stripe its key names) if it is
+  /// resident there; returns the bytes freed (what the element
+  /// discharged), 0 when it is not resident.
+  size_t RemoveLocked(Stripe& s, const CacheElement& element)
+      BRAID_REQUIRES(s.mu);
 
   /// The element of stripe `s` whose key is `key`, or null.
   static CacheElementPtr FindLocked(const Stripe& s, const caql::QueryKey& key)
       BRAID_REQUIRES(s.mu);
 
-  /// Current (rebuilt-if-stale) snapshot of stripe `i`.
-  std::shared_ptr<const StripeSnapshot> Snapshot(size_t i) const;
-
   std::array<Stripe, kNumStripes> stripes_;
-
-  /// id -> stripe index directory. Leaf lock: may be taken while a stripe
-  /// lock is held (Register/Remove update it inside the stripe's critical
-  /// section), but no stripe lock is ever taken while holding it.
-  mutable Mutex id_mu_;
-  std::map<std::string, size_t> id_stripe_ BRAID_GUARDED_BY(id_mu_);
 
   std::atomic<int> next_id_{1};
   std::atomic<uint64_t> version_{0};

@@ -205,7 +205,26 @@ bool SignatureAdmits(const CatalogSignature& sig, const QueryDescriptor& q) {
   return true;
 }
 
-void CatalogIndex::Candidates(const QueryDescriptor& q,
+void CatalogShard::Insert(CacheElementPtr element,
+                          std::shared_ptr<const CatalogSignature> signature) {
+  const std::string& id = element->id();
+  std::string anchor = AnchorOf(*signature);
+  postings_[anchor][id] = Posted{element, std::move(signature)};
+  anchors_[id] = std::move(anchor);
+}
+
+void CatalogShard::Remove(const std::string& id) {
+  auto it = anchors_.find(id);
+  if (it == anchors_.end()) return;
+  auto pit = postings_.find(it->second);
+  if (pit != postings_.end()) {
+    pit->second.erase(id);
+    if (pit->second.empty()) postings_.erase(pit);
+  }
+  anchors_.erase(it);
+}
+
+void CatalogShard::Candidates(const QueryDescriptor& q,
                               std::vector<CacheElementPtr>* out,
                               CatalogLookupStats* stats) const {
   // Probe keys are distinct by construction (the canonical key once, each
@@ -224,7 +243,7 @@ void CatalogIndex::Candidates(const QueryDescriptor& q,
   for (const std::string& probe : probes) {
     auto it = postings_.find(probe);
     if (it == postings_.end()) continue;
-    for (const Posted& posted : it->second) {
+    for (const auto& [id, posted] : it->second) {
       if (stats != nullptr) ++stats->probed;
       if (!SignatureAdmits(*posted.signature, q)) continue;
       if (stats != nullptr) ++stats->admitted;
@@ -233,22 +252,18 @@ void CatalogIndex::Candidates(const QueryDescriptor& q,
   }
 }
 
-std::string CatalogIndex::CheckConsistency(
+std::string CatalogShard::CheckConsistency(
     const std::map<std::string, CacheElementPtr>& elements) const {
-  if (!dangling_.empty()) {
-    return StrCat("posting for ", dangling_.front(),
-                  " dangles (element gone from the stripe)");
-  }
   std::set<std::string> posted;
   for (const auto& [anchor, entries] : postings_) {
-    for (const Posted& p : entries) {
-      const std::string& id = p.element->id();
+    for (const auto& [id, p] : entries) {
       if (!posted.insert(id).second) {
         return StrCat("element ", id, " posted more than once");
       }
       auto it = elements.find(id);
       if (it == elements.end()) {
-        return StrCat("posting for ", id, " dangles (element evicted)");
+        return StrCat("posting for ", id,
+                      " dangles (element gone from the stripe)");
       }
       if (it->second != p.element) {
         return StrCat("posting for ", id, " pins a stale element");
@@ -268,50 +283,6 @@ std::string CatalogIndex::CheckConsistency(
     }
   }
   return "";
-}
-
-void CatalogShard::Insert(const std::string& id,
-                          std::shared_ptr<const CatalogSignature> signature) {
-  Remove(id);
-  Entry entry;
-  entry.anchor = AnchorOf(*signature);
-  entry.signature = std::move(signature);
-  postings_[entry.anchor].insert(id);
-  entries_[id] = std::move(entry);
-}
-
-void CatalogShard::Remove(const std::string& id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  auto pit = postings_.find(it->second.anchor);
-  if (pit != postings_.end()) {
-    pit->second.erase(id);
-    if (pit->second.empty()) postings_.erase(pit);
-  }
-  entries_.erase(it);
-}
-
-std::shared_ptr<const CatalogIndex> CatalogShard::Build(
-    const std::map<std::string, CacheElementPtr>& elements) const {
-  auto index = std::make_shared<CatalogIndex>();
-  for (const auto& [anchor, ids] : postings_) {
-    std::vector<CatalogIndex::Posted>& out = index->postings_[anchor];
-    out.reserve(ids.size());
-    for (const std::string& id : ids) {
-      auto eit = elements.find(id);
-      if (eit == elements.end()) {
-        // A posting with no element is a maintenance bug; keep it visible
-        // so CheckConsistency reports it instead of silently dropping it.
-        index->dangling_.push_back(id);
-        continue;
-      }
-      out.push_back(
-          CatalogIndex::Posted{eit->second, entries_.at(id).signature});
-      ++index->num_entries_;
-    }
-    if (out.empty()) index->postings_.erase(anchor);
-  }
-  return index;
 }
 
 }  // namespace braid::cms

@@ -46,10 +46,9 @@ namespace braid::cms {
 /// only the postings behind the query's own predicates and constants and
 /// never enumerates the rest of the cache.
 ///
-/// Concurrency: the mutable side (CatalogShard) lives inside a CacheModel
-/// stripe and is maintained under that stripe's mutex, exactly like the
-/// other per-stripe maps; readers get an immutable CatalogIndex rebuilt
-/// into the StripeSnapshot, so lookups are lock-free and the stripe lock
+/// Concurrency: each CacheModel stripe owns one CatalogShard over its own
+/// elements and maintains and reads it in place under that stripe's
+/// mutex, exactly like the other per-stripe maps, so the stripe lock
 /// order of DESIGN.md §10 is unchanged. See DESIGN.md §11.
 
 /// A constant the definition requires of any query it can serve: `value`
@@ -135,68 +134,45 @@ struct CatalogLookupStats {
   size_t admitted = 0;  // candidates surviving SignatureAdmits
 };
 
-/// Immutable posting index over one stripe's elements, rebuilt into the
-/// StripeSnapshot whenever the stripe changes. Lookups are lock-free.
-class CatalogIndex {
+/// The posting index over one stripe's elements. Not internally
+/// synchronized: the owning CacheModel stripe's mutex guards every call,
+/// matching the other per-stripe maps.
+class CatalogShard {
  public:
+  /// Posts `element` under the signature's anchor. `signature` is computed
+  /// by the caller (outside the stripe lock; it is a pure function of the
+  /// definition). The element's id must not be posted yet.
+  void Insert(CacheElementPtr element,
+              std::shared_ptr<const CatalogSignature> signature);
+
+  /// Drops the posting of `id` (no-op if absent).
+  void Remove(const std::string& id);
+
   /// Appends the elements that may subsume a component of the described
-  /// query. Each element of the stripe is posted once, so the output has
-  /// no duplicates within one index.
+  /// query: probe order, then id order within a posting. Each element of
+  /// the stripe is posted once, so the output has no duplicates within
+  /// one shard.
   void Candidates(const QueryDescriptor& q,
                   std::vector<CacheElementPtr>* out,
                   CatalogLookupStats* stats = nullptr) const;
 
-  size_t NumEntries() const { return num_entries_; }
-
   /// The difftest invariant (DESIGN.md §11): every element of `elements`
-  /// is posted exactly once and self-reachable (a lookup with its own
-  /// definition returns it), and no posting dangles (points at an id
-  /// absent from `elements`). Returns "" when consistent, else a
-  /// description of the first violation.
+  /// (the stripe's id -> element map) is posted exactly once and is
+  /// self-reachable (a lookup with its own definition returns it), and no
+  /// posting dangles (names an id absent from `elements`) or pins another
+  /// element than the one resident under its id. Returns "" when
+  /// consistent, else a description of the first violation.
   std::string CheckConsistency(
       const std::map<std::string, CacheElementPtr>& elements) const;
 
  private:
-  friend class CatalogShard;
   struct Posted {
     CacheElementPtr element;
     std::shared_ptr<const CatalogSignature> signature;
   };
-  std::map<std::string, std::vector<Posted>> postings_;  // anchor -> entries
-  /// Posted ids whose element was missing at build time (maintenance bug;
-  /// reported by CheckConsistency).
-  std::vector<std::string> dangling_;
-  size_t num_entries_ = 0;
-};
-
-/// Mutable per-stripe side of the catalog. Not internally synchronized:
-/// the owning CacheModel stripe's mutex guards every call, matching the
-/// other per-stripe maps.
-class CatalogShard {
- public:
-  /// Indexes `id` under the signature's anchor. `signature` is computed by
-  /// the caller (outside the stripe lock; it is a pure function of the
-  /// definition). Inserting an existing id replaces its entry.
-  void Insert(const std::string& id,
-              std::shared_ptr<const CatalogSignature> signature);
-
-  /// Drops `id` (no-op if absent).
-  void Remove(const std::string& id);
-
-  size_t size() const { return entries_.size(); }
-
-  /// Builds the immutable lookup index, resolving posted ids through
-  /// `elements` (the stripe's element map, read under the same lock).
-  std::shared_ptr<const CatalogIndex> Build(
-      const std::map<std::string, CacheElementPtr>& elements) const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const CatalogSignature> signature;
-    std::string anchor;
-  };
-  std::map<std::string, Entry> entries_;                   // id -> entry
-  std::map<std::string, std::set<std::string>> postings_;  // anchor -> ids
+  std::map<std::string, std::string> anchors_;  // id -> anchor
+  // anchor -> id -> posting
+  std::map<std::string, std::map<std::string, Posted>> postings_;
 };
 
 }  // namespace braid::cms

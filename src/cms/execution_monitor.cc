@@ -76,15 +76,13 @@ caql::CaqlQuery StageView(const rel::Schema& schema, std::vector<Atom> body) {
 
 Result<rel::Relation> ExecutionMonitor::MaterializeElementSource(
     const PlanSource& source, LocalWork* work) {
-  // Prefer the pin taken at plan time: a concurrent session's eviction
+  // Read the pin taken at plan time: a concurrent session's eviction
   // between planning and execution must not fail this plan (the pinned
   // extension is immutable and stays alive through the shared_ptr).
-  CacheElementPtr element = source.element != nullptr
-                                ? source.element
-                                : cache_->model().Find(source.element_id);
-  if (element == nullptr || !element->is_materialized()) {
+  const CacheElementPtr& element = source.element;
+  if (!element->is_materialized()) {
     return Status::NotFound(
-        StrCat("cache element ", source.element_id, " vanished"));
+        StrCat("cache element ", element->id(), " is not materialized"));
   }
   cache_->Touch(*element);
   const std::shared_ptr<const rel::Relation>& ext = element->extension();
@@ -283,10 +281,8 @@ Result<ExecutionOutcome> ExecutionMonitor::ExecutePlan(const Plan& plan,
     for (size_t i = 0; i < num_positive; ++i) {
       const PlanSource& source = plan.sources[i];
       if (source.kind != PlanSource::Kind::kElement) continue;
-      CacheElementPtr element = source.element != nullptr
-                                    ? source.element
-                                    : cache_->model().Find(source.element_id);
-      if (element == nullptr || element->definition().distinct) {
+      const CacheElementPtr& element = source.element;
+      if (element->definition().distinct) {
         source_tainted[i] = true;
         continue;
       }
@@ -342,7 +338,7 @@ Result<ExecutionOutcome> ExecutionMonitor::ExecutePlan(const Plan& plan,
       StageOffer offer;
       offer.label = source.kind == PlanSource::Kind::kRemote
                         ? StrCat("bind:remote:", i)
-                        : StrCat("bind:", source.element_id);
+                        : StrCat("bind:", source.element->id());
       offer.view = StageView(materialized[i].schema(), atoms_of(i));
       offer.recompute_ms = source_cost_ms[i];
       offer.from_remote = source.kind == PlanSource::Kind::kRemote;

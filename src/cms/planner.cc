@@ -18,7 +18,7 @@ using logic::Atom;
 
 std::string PlanSource::ToString() const {
   if (kind == Kind::kElement) {
-    return StrCat("cache:", element_id, " ", match.ToString());
+    return StrCat("cache:", element->id(), " ", match.ToString());
   }
   return StrCat("remote:", remote_query.ToString());
 }
@@ -146,7 +146,6 @@ Result<Plan> QueryPlanner::PlanQuery(const CaqlQuery& query,
     for (size_t qi : match.covered) covered[qi] = true;
     PlanSource source;
     source.kind = PlanSource::Kind::kElement;
-    source.element_id = element->id();
     source.element = element;
     source.match = std::move(match);
     plan.sources.push_back(std::move(source));
@@ -178,7 +177,6 @@ Result<Plan> QueryPlanner::PlanQuery(const CaqlQuery& query,
             ComputeSubsumption(element->definition(), positive_query, options);
         if (match.has_value() && match->full) {
           anti.kind = PlanSource::Kind::kElement;
-          anti.element_id = element->id();
           anti.element = element;
           anti.match = std::move(*match);
           local = true;

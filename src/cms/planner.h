@@ -28,12 +28,11 @@ struct PlanSource {
   Kind kind = Kind::kElement;
 
   // kElement:
-  std::string element_id;
   /// Pin on the element taken at plan time. Extensions are immutable and
   /// shared_ptr-held, so a concurrent eviction cannot invalidate a plan
   /// mid-execution: the plan reads its pinned element, the cache just
-  /// stops advertising it. (Empty only in hand-built plans; executors
-  /// fall back to a model lookup by id.)
+  /// stops advertising it. Every element source carries one; hand-built
+  /// plans hold only remote sources.
   CacheElementPtr element;
   SubsumptionMatch match;
 

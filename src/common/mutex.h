@@ -1,13 +1,9 @@
 #ifndef BRAID_COMMON_MUTEX_H_
 #define BRAID_COMMON_MUTEX_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
-#include <thread>
 
 #include "common/thread_annotations.h"
 
@@ -91,63 +87,6 @@ class CondVar {
   std::condition_variable cv_;
 };
 
-/// Runtime-checked "capability" for components that are single-threaded by
-/// design (CacheManager, CacheModel): the checker binds to the first
-/// thread that touches the component and aborts the process if any other
-/// thread ever does. To the static analysis it is a capability like a
-/// mutex — fields are declared `BRAID_GUARDED_BY(sequence_)` and each
-/// public method opens with `BRAID_SINGLE_THREAD(sequence_);`, so when the
-/// ROADMAP-1 concurrent-CMS refactor starts moving these components across
-/// threads, every unprotected field access is already enumerated by the
-/// compiler instead of rediscovered by TSan.
-class BRAID_CAPABILITY("sequence") SequenceChecker {
- public:
-  SequenceChecker() = default;
-  /// Copies and moves deliberately do not inherit the binding: the new
-  /// object may legitimately live on a different thread.
-  SequenceChecker(const SequenceChecker&) {}
-  SequenceChecker& operator=(const SequenceChecker&) { return *this; }
-
-  /// Binds to the calling thread on first use; aborts on any later call
-  /// from a different thread. The check is one relaxed atomic load on the
-  /// happy path — cheap enough to keep on in release builds.
-  void Check() const BRAID_ASSERT_CAPABILITY(this) {
-    const std::size_t me = SelfId();
-    std::size_t expected = 0;
-    if (owner_.compare_exchange_strong(expected, me,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-      return;  // first use: bound to this thread
-    }
-    if (expected == me) return;
-    std::fprintf(stderr,
-                 "braid: FATAL: single-threaded component accessed from a "
-                 "second thread (owner=%zx self=%zx); see DESIGN.md "
-                 "\"Concurrency contract\"\n",
-                 expected, me);
-    std::abort();
-  }
-
-  /// Unbinds the checker; the next Check() rebinds to its calling thread.
-  /// For explicit ownership handoff between phases (e.g. a session moved
-  /// to a scheduler thread while quiesced).
-  void Detach() { owner_.store(0, std::memory_order_release); }
-
- private:
-  static std::size_t SelfId() {
-    const std::size_t id =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    return id == 0 ? 1 : id;  // reserve 0 for "unbound"
-  }
-
-  mutable std::atomic<std::size_t> owner_{0};
-};
-
 }  // namespace braid
-
-/// Marks the start of a method of a single-threaded-by-design component:
-/// runtime-checks the sequence binding and tells the static analysis the
-/// `sequence` capability is held from here on.
-#define BRAID_SINGLE_THREAD(checker) (checker).Check()
 
 #endif  // BRAID_COMMON_MUTEX_H_

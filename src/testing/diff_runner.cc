@@ -235,9 +235,10 @@ struct StreamChecker {
   /// Interleaved multi-session run: `opts.sessions` sessions share the
   /// CMS, session s replaying the stream rotated by s. Queries go through
   /// the session scheduler in waves (one query per session per wave) so
-  /// installs, evictions, prefetch joins, and snapshot reads genuinely
-  /// race; every answer is still bag-checked against the oracle. The
-  /// quiescence-dependent remote-counter invariant does not apply.
+  /// installs, evictions, prefetch joins, and in-place stripe reads
+  /// genuinely race; every answer is still bag-checked against the
+  /// oracle. The quiescence-dependent remote-counter invariant does not
+  /// apply.
   void RunSessions(const std::vector<size_t>& indices) {
     std::vector<cms::CmsSession*> sessions;
     for (size_t s = 0; s < opts.sessions; ++s) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -65,12 +66,13 @@ TEST(CacheModel, RegisterFindRemove) {
   CacheModel model;
   EXPECT_EQ(model.NextId(), "E1");
   EXPECT_EQ(model.NextId(), "E2");
-  model.Register(MakeElement("E1", "d(X, Y) :- b1(X, Y)", 2));
+  auto e = MakeElement("E1", "d(X, Y) :- b1(X, Y)", 2);
+  model.Register(e);
   EXPECT_NE(model.Find("E1"), nullptr);
   EXPECT_EQ(model.Find("E9"), nullptr);
-  model.Remove("E1");
+  EXPECT_GT(model.Remove(*e), 0u);
   EXPECT_EQ(model.Find("E1"), nullptr);
-  model.Remove("E1");  // Idempotent.
+  EXPECT_EQ(model.Remove(*e), 0u);  // No longer resident: frees nothing.
 }
 
 TEST(CacheModel, PredicateIndex) {
@@ -80,7 +82,7 @@ TEST(CacheModel, PredicateIndex) {
   EXPECT_EQ(model.ByPredicate("b1").size(), 1u);
   EXPECT_EQ(model.ByPredicate("b2").size(), 2u);
   EXPECT_EQ(model.ByPredicate("zz").size(), 0u);
-  model.Remove("E1");
+  model.Remove(*model.Find("E1"));
   EXPECT_EQ(model.ByPredicate("b2").size(), 1u);
   EXPECT_EQ(model.ByPredicate("b1").size(), 0u);
 }
@@ -104,8 +106,81 @@ TEST(CacheModel, ExactProbeConfirmsTheKeyText) {
   colliding.text += "&b(V0,V1)";
   EXPECT_EQ(model.ByCanonicalKey(colliding), nullptr);
   // Removal takes the element out of the index.
-  model.Remove("E1");
+  model.Remove(*e);
   EXPECT_EQ(model.ByCanonicalKey(e->key()), nullptr);
+}
+
+TEST(CacheModelConcurrency, InPlaceReadsRaceWithWrites) {
+  CacheModel model;
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 3;
+  constexpr int kOps = 400;
+  const QueryDescriptor probe =
+      DescribeQuery(ParseCaql("q(X, Y) :- b1(X, Y) & X > 7").value());
+  std::atomic<int> waiting{kWriters + kReaders};
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<size_t> wrong{0};
+  // Every thread starts once all have started, so reads overlap writes.
+  auto start_together = [&waiting] {
+    waiting.fetch_sub(1, std::memory_order_acq_rel);
+    while (waiting.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&model, &writers_left, &start_together, w] {
+      start_together();
+      std::vector<CacheElementPtr> live;
+      for (int i = 0; i < kOps; ++i) {
+        // Definitions repeat across writers, so writers share stripes and
+        // displace each other's same-key elements; half of the range
+        // conditions admit the probe.
+        const std::string c = std::to_string((w + i) % 16);
+        const std::string b = std::to_string((w + i) % 3);
+        const std::string def =
+            i % 3 == 0 ? "e" + c + "(X, Y) :- b" + b + "(X, Y)"
+                       : "d" + c + "(X, Y) :- b1(X, Y) & X > " + c;
+        live.push_back(MakeElement(model.NextId(), def, 4));
+        model.Register(live.back());
+        if (i % 2 == 1) {
+          model.Remove(*live.front());
+          live.erase(live.begin());
+        }
+      }
+      writers_left.fetch_sub(1, std::memory_order_acq_rel);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&model, &writers_left, &wrong, &probe,
+                          &start_together] {
+      start_together();
+      while (writers_left.load(std::memory_order_acquire) > 0) {
+        for (const CacheElementPtr& e : model.SubsumptionCandidates(probe)) {
+          if (!SignatureAdmits(ComputeSignature(e->definition()), probe)) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        for (const CacheElementPtr& e : model.ByPredicate("b1")) {
+          if (e->definition().RelationAtoms()[0].predicate != "b1") {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        model.HasMaterializedFor("b2");
+        for (const CacheElementPtr& e : model.ResidentElements()) {
+          const CacheElementPtr found = model.Find(e->id());
+          if (found != nullptr && found != e) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(model.ResidentElements().size(), model.size());
+  EXPECT_EQ(model.CheckCatalogConsistency(), "");
+  EXPECT_EQ(model.CheckByteAccounting(), "");
 }
 
 TEST(CacheManager, InsertWithinBudget) {
@@ -261,8 +336,8 @@ TEST(CacheByteAccounting, ReRegisteringTheSameIdReplacesItsCharge) {
   model.Register(first);
   model.Register(first);  // the same element again: charged once
   EXPECT_EQ(model.TotalBytes(), first->ByteSize());
-  // Same id, another definition (and possibly another stripe).
-  auto second = MakeElement("E1", "e(X, Y) :- b2(X, Y)", 9);
+  // Same id and definition, a rebuilt element: it displaces the first.
+  auto second = MakeElement("E1", "d(X, Y) :- b1(X, Y)", 9);
   model.Register(second);
   EXPECT_EQ(model.size(), 1u);
   EXPECT_EQ(model.TotalBytes(), second->ByteSize());
@@ -279,6 +354,7 @@ TEST(CacheByteAccounting, DisplacingTheSameCanonicalKeyDischarges) {
   model.Register(earlier);
   model.Register(later);
   EXPECT_EQ(model.Find("E1"), nullptr);
+  EXPECT_EQ(model.Remove(*earlier), 0u);  // displaced: frees nothing
   EXPECT_EQ(model.size(), 1u);
   EXPECT_EQ(model.TotalBytes(), later->ByteSize());
   EXPECT_EQ(model.CheckByteAccounting(), "");
@@ -331,7 +407,7 @@ TEST(CacheByteAccounting, GrowthThenEvictionRestoresBothTotals) {
   EXPECT_EQ(mgr.model().CheckByteAccounting(), "");
 
   // Evicting the element frees everything it was charged.
-  EXPECT_EQ(mgr.model().Remove("E3"), grown);
+  EXPECT_EQ(mgr.model().Remove(*e), grown);
   EXPECT_EQ(mgr.model().TotalBytes(), total_before);
   EXPECT_EQ(mgr.DerivedBytes(), derived_before);
   EXPECT_EQ(mgr.model().CheckByteAccounting(), "");
@@ -376,7 +452,7 @@ TEST(CacheByteAccounting, ConcurrentInsertEvictSortKeepsTotalsExact) {
         if (i % 4 == 0) e->set_derived(true);
         mgr.Insert(e);
         mgr.EnsureSorted(e, {static_cast<size_t>(i % 2)});
-        if (i % 5 == 0) mgr.model().Remove(e->id());
+        if (i % 5 == 0) mgr.model().Remove(*e);
         mgr.Tick();
       }
     });

@@ -89,7 +89,7 @@ p(X, Z) :- t1(X, Y), t2(Y, Z).
   EXPECT_EQ(first_ask->advice().view_specs[0].body[0].predicate, "t1");
   cms.DrainPrefetches();
   for (const auto& [id, e] : cms.cache().model().elements()) {
-    cms.cache().model().Remove(id);
+    cms.cache().model().Remove(*e);
   }
 
   // Cache t2: the cache-residency discount should move it first.

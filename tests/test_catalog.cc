@@ -256,33 +256,38 @@ TEST(CatalogConsistency, SurvivesInsertAndRemoveWaves) {
     }
     EXPECT_EQ(model.CheckCatalogConsistency(), "") << "wave " << wave;
     for (int i = 0; i < 12; i += 2) {
-      model.Remove("E" + std::to_string(wave * 12 + i));
+      model.Remove(*model.Find("E" + std::to_string(wave * 12 + i)));
     }
     EXPECT_EQ(model.CheckCatalogConsistency(), "") << "wave " << wave;
   }
-  // Re-registering an existing id under a different definition moves it
-  // between stripes; the catalog must follow.
-  model.Register(MakeElement("E1", "w(X) :- b2(X, 1)"));
+  // Re-registering a resident element replaces it through its canonical
+  // key; the catalog must keep exactly one posting for it.
+  model.Register(model.Find("E1"));
   EXPECT_EQ(model.CheckCatalogConsistency(), "");
 }
 
 TEST(CatalogConsistency, DanglingPostingReported) {
   CatalogShard shard;
   CacheElementPtr element = MakeElement("E1", "v(X) :- b1(X, Y)");
-  shard.Insert("E1", std::make_shared<const CatalogSignature>(
-                         ComputeSignature(element->definition())));
-  // Build against a map that is missing the posted element — the shape of
-  // a maintenance bug (eviction skipped the catalog).
-  std::map<std::string, CacheElementPtr> empty;
-  auto index = shard.Build(empty);
-  EXPECT_NE(index->CheckConsistency(empty), "");
+  shard.Insert(element, std::make_shared<const CatalogSignature>(
+                            ComputeSignature(element->definition())));
+  auto reports = [&shard](const std::map<std::string, CacheElementPtr>& m,
+                          const std::string& what) {
+    return shard.CheckConsistency(m).find(what) != std::string::npos;
+  };
+  // A stripe that is missing the posted element — the shape of a
+  // maintenance bug (eviction skipped the catalog).
+  std::map<std::string, CacheElementPtr> stripe;
+  EXPECT_TRUE(reports(stripe, "dangles"));
 
-  std::map<std::string, CacheElementPtr> full = {{"E1", element}};
-  auto ok = shard.Build(full);
-  EXPECT_EQ(ok->CheckConsistency(full), "");
+  stripe["E1"] = element;
+  EXPECT_EQ(shard.CheckConsistency(stripe), "");
+  // Another element resident under the posted id: the posting is stale.
+  EXPECT_TRUE(reports({{"E1", MakeElement("E1", "v(X) :- b1(X, Y)")}},
+                      "stale"));
   // An element the shard never saw must be flagged as unposted.
-  full["E2"] = MakeElement("E2", "w(X) :- b2(X, Y)");
-  EXPECT_NE(ok->CheckConsistency(full), "");
+  stripe["E2"] = MakeElement("E2", "w(X) :- b2(X, Y)");
+  EXPECT_TRUE(reports(stripe, "not posted"));
 }
 
 // ---------------------------------------------------------------------------

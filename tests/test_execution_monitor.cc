@@ -85,7 +85,7 @@ TEST_F(ExecutionMonitorTest, IndexReducesLocalWork) {
   auto unindexed = monitor.ExecutePlan(*plan1);
   ASSERT_TRUE(unindexed.ok());
 
-  cache_.model().Remove("E1");
+  cache_.model().Remove(*cache_.model().Find("E1"));
   CacheB1(true);
   auto plan2 = planner_.PlanQuery(plan_query);
   ASSERT_TRUE(plan2.ok());
@@ -121,26 +121,14 @@ TEST_F(ExecutionMonitorTest, PinnedElementSurvivesEvictionMidPlan) {
   ExecutionMonitor monitor(&cache_, &rdi_, 0.01, true);
   auto plan = planner_.PlanQuery(ParseCaql("q(Y) :- b1(3, Y)").value());
   ASSERT_TRUE(plan.ok());
-  cache_.model().Remove("E1");  // a concurrent session evicts mid-plan
+  // A concurrent session evicts mid-plan.
+  cache_.model().Remove(*cache_.model().Find("E1"));
   // The plan pinned the element at plan time, so execution still answers
   // from the (immutable) extension instead of failing.
   auto outcome = monitor.ExecutePlan(*plan);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->result.NumTuples(), 5u);
   EXPECT_EQ(outcome->remote_queries, 0u);
-}
-
-TEST_F(ExecutionMonitorTest, UnpinnedMissingElementReportsNotFound) {
-  CacheB1(false);
-  ExecutionMonitor monitor(&cache_, &rdi_, 0.01, true);
-  auto plan = planner_.PlanQuery(ParseCaql("q(Y) :- b1(3, Y)").value());
-  ASSERT_TRUE(plan.ok());
-  // Hand-built plans carry no pin; with the element gone from the model,
-  // execution has nothing to fall back to.
-  for (PlanSource& source : plan->sources) source.element = nullptr;
-  cache_.model().Remove("E1");
-  auto outcome = monitor.ExecutePlan(*plan);
-  EXPECT_EQ(outcome.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(ExecutionMonitorTest, LazyStreamProducesSameBag) {

@@ -679,7 +679,7 @@ void CheckMemoAgainstFresh(MemoScenario scenario, uint64_t seed) {
       if (cms.cache().model().HasMaterializedFor(base)) {
         for (const cms::CacheElementPtr& e :
              cms.cache().model().ByPredicate(base)) {
-          cms.cache().model().Remove(e->id());
+          cms.cache().model().Remove(*e);
         }
         ASSERT_FALSE(cms.cache().model().HasMaterializedFor(base));
       } else {

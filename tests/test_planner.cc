@@ -140,7 +140,7 @@ TEST_F(PlannerTest, FullMatchGoesFullyLocal) {
   EXPECT_TRUE(plan->fully_local);
   ASSERT_EQ(plan->sources.size(), 1u);
   EXPECT_EQ(plan->sources[0].kind, PlanSource::Kind::kElement);
-  EXPECT_EQ(plan->sources[0].element_id, "E1");
+  EXPECT_EQ(plan->sources[0].element->id(), "E1");
 }
 
 TEST_F(PlannerTest, PartialMatchSplitsLocalAndRemote) {
@@ -175,7 +175,7 @@ TEST_F(PlannerTest, OverlappingElementsPreferCheaperDerivation) {
   ASSERT_TRUE(plan.ok());
   EXPECT_TRUE(plan->fully_local);
   ASSERT_EQ(plan->sources.size(), 1u);
-  EXPECT_EQ(plan->sources[0].element_id, "E103");
+  EXPECT_EQ(plan->sources[0].element->id(), "E103");
 }
 
 TEST_F(PlannerTest, SubsumptionDisabledForcesRemote) {

@@ -2,8 +2,7 @@
 // striped cache, the session scheduler's fairness/serialization contract,
 // the replacement policy's advice protection under concurrent eviction,
 // and the replacement-advice index against its per-session definition.
-// These are the real-concurrency successors of the old
-// BRAID_SINGLE_THREAD death tests — they run under TSan in CI.
+// They run under TSan in CI.
 
 #include <algorithm>
 #include <atomic>
@@ -180,7 +179,7 @@ TEST(CmsSessions, ConcurrentSessionsGetCorrectAnswers) {
       for (size_t i = 0; i < kPerSession; ++i) {
         // y = (s*kPerSession + i) % 8 selects kRows/8 tuples of `a`; the
         // mix of distinct constants across sessions makes installs and
-        // snapshot reads race on the same stripes.
+        // in-place stripe reads race on the same stripes.
         const size_t y = (s * kPerSession + i) % 8;
         auto q = caql::ParseCaql(StrCat("q", s, "_", i, "(X) :- a(X, ", y,
                                         ")"));

@@ -1,12 +1,8 @@
 // Tests for the annotated concurrency primitives in common/mutex.h: the
-// Mutex/MutexLock/CondVar wrappers (exercised cross-thread, so the TSan CI
-// job validates the wrappers do in fact synchronize) and the
-// SequenceChecker capability behind BRAID_SINGLE_THREAD, including its
-// abort-on-cross-thread-misuse contract (death test). Components no
-// longer use SequenceChecker — the CMS runs multi-session with real
-// locking — so the component-level death tests are replaced by real
-// concurrency tests (see CacheManagerConcurrency below and
-// tests/test_session.cc).
+// Mutex/MutexLock/CondVar wrappers, exercised cross-thread so the TSan CI
+// job validates that the wrappers do in fact synchronize, plus real
+// concurrency tests of the components built on them (see
+// CacheManagerConcurrency below and tests/test_session.cc).
 
 #include "common/mutex.h"
 
@@ -110,54 +106,6 @@ TEST(CondVarTest, NotifyOneWakesAWaiter) {
   EXPECT_EQ(stage, 2);
 }
 
-TEST(SequenceCheckerTest, SameThreadUseIsFine) {
-  SequenceChecker checker;
-  for (int i = 0; i < 100; ++i) checker.Check();
-}
-
-TEST(SequenceCheckerTest, DetachAllowsHandoffToAnotherThread) {
-  SequenceChecker checker;
-  checker.Check();  // bind to this thread
-  checker.Detach();
-  bool ok = false;
-  std::thread other([&] {
-    checker.Check();  // rebinds to `other`
-    checker.Check();
-    ok = true;
-  });
-  other.join();
-  EXPECT_TRUE(ok);
-  // Bound to `other` now; this thread must not touch it again without a
-  // Detach. (Doing so would abort — covered by the death test below.)
-  checker.Detach();
-  checker.Check();
-}
-
-TEST(SequenceCheckerTest, CopyDoesNotInheritTheBinding) {
-  SequenceChecker original;
-  original.Check();  // bind original to this thread
-  SequenceChecker copy(original);
-  bool ok = false;
-  std::thread other([&copy, &ok] {
-    copy.Check();  // fresh binding; must not abort
-    ok = true;
-  });
-  other.join();
-  EXPECT_TRUE(ok);
-}
-
-TEST(SequenceCheckerDeathTest, CrossThreadMisuseAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        SequenceChecker checker;
-        checker.Check();  // bind to this thread
-        std::thread intruder([&checker] { checker.Check(); });
-        intruder.join();
-      },
-      "single-threaded component accessed from a second thread");
-}
-
 cms::CacheElementPtr MakeManagerElement(const std::string& id,
                                         const std::string& def,
                                         size_t rows) {
@@ -173,11 +121,9 @@ cms::CacheElementPtr MakeManagerElement(const std::string& id,
 }
 
 TEST(CacheManagerConcurrency, ParallelInsertsHoldTheBudgetWithNoLostUpdates) {
-  // Replaces the old SequenceCheckerDeathTest.CacheManagerAbortsOnCross-
-  // ThreadUse: the manager used to abort on cross-thread use; it is now
-  // fully concurrent (striped model, atomic clock/stats), so hammering it
-  // from several threads must leave the footprint within budget and the
-  // stats balanced, with every surviving element findable.
+  // The manager is fully concurrent (striped model, atomic clock/stats),
+  // so hammering it from several threads must leave the footprint within
+  // budget and the stats balanced, with every surviving element findable.
   const size_t unit =
       MakeManagerElement("probe", "p(X, Y) :- b(X, Y)", 8)->ByteSize();
   cms::CacheManager manager(/*budget_bytes=*/unit * 6 + unit / 2,

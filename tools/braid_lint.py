@@ -23,12 +23,6 @@ contract" for the rationale of each:
                    nanosleep). Blocking waits go through braid::CondVar;
                    sleeps hide latency bugs and slow the whole suite.
 
-  single-thread    No BRAID_SINGLE_THREAD / SequenceChecker outside
-                   src/common/mutex.h. The CMS is multi-session now; a
-                   component claiming the single-thread capability opts
-                   out of the real locking discipline the concurrent
-                   cache and session scheduler rely on.
-
   include-guard    Every header under src/ uses a BRAID_<PATH>_H_ include
                    guard matching its path (#ifndef/#define pair and a
                    trailing #endif comment).
@@ -96,12 +90,6 @@ LINE_RULES = [
         re.compile(r"(sleep_for|sleep_until|\busleep\s*\(|\bnanosleep\s*\()"),
         "sleeping in src/; block on a braid::CondVar or model the delay in "
         "simulated time",
-    ),
-    (
-        "single-thread",
-        re.compile(r"\b(BRAID_SINGLE_THREAD|SequenceChecker)\b"),
-        "single-thread capability in a component; the CMS is multi-session "
-        "— guard shared state with braid::Mutex and annotations instead",
     ),
 ]
 
@@ -361,8 +349,6 @@ BAD_SNIPPETS = {
         "auto Z() { return std::chrono::system_clock::now(); }\n",
     "sleep":
         "void W() { std::this_thread::sleep_for(std::chrono::seconds(1)); }\n",
-    "single-thread-macro": "void T() { BRAID_SINGLE_THREAD(sequence_); }\n",
-    "single-thread-member": "braid::SequenceChecker sequence_;\n",
 }
 
 GOOD_SNIPPETS = {
@@ -371,8 +357,6 @@ GOOD_SNIPPETS = {
     "string": 'const char* kMsg = "do not call rand() here";\n',
     "wrapper": "braid::MutexLock lock(&mu_);\n",
     "member-time": "double t = sim.time_ms();  // simulated, fine\n",
-    "single-thread-comment":
-        "// SequenceChecker is gone from components; see DESIGN.md §10\n",
 }
 
 GOOD_HEADER = (
